@@ -35,9 +35,9 @@ from .domains import (
     Verdict,
     WeightedL2,
     atom_verdict,
+    cached,
     conjunction,
     forced_coordinates,
-    intersect,
     linear_combination,
     member,
 )
@@ -80,6 +80,11 @@ def _as_blocks(x, arity: int) -> Blocks:
     return blocks
 
 
+def _intersection(ops) -> DomainDescriptor:
+    """Common domain of the operators, as one descriptor."""
+    return DomainDescriptor(atom for op in ops for atom in domain_of(op).atoms)
+
+
 @dataclass(frozen=True)
 class RowOp:
     entries: tuple[StructuredOperator, ...]
@@ -98,7 +103,8 @@ class RowOp:
 
     @property
     def block_domains(self) -> tuple[DomainDescriptor, ...]:
-        return tuple(domain_of(e) for e in self.entries)
+        return cached(self, "_block_domains",
+                      lambda r: tuple(domain_of(e) for e in r.entries))
 
     @property
     def densely_defined(self) -> bool:
@@ -137,14 +143,11 @@ class ColOp:
 
     @property
     def domain(self) -> DomainDescriptor:
-        d = DomainDescriptor.all()
-        for e in self.entries:
-            d = intersect(d, domain_of(e))
-        return d
+        return cached(self, "_domain", lambda c: _intersection(c.entries))
 
     @property
     def block_domains(self) -> tuple[DomainDescriptor, ...]:
-        return (self.domain,)
+        return cached(self, "_block_domains", lambda c: (c.domain,))
 
     @property
     def densely_defined(self) -> bool:
@@ -187,14 +190,8 @@ class OpMatrix:
 
     @property
     def column_domains(self) -> tuple[DomainDescriptor, ...]:
-        m, n = self.shape
-        out = []
-        for j in range(n):
-            d = DomainDescriptor.all()
-            for i in range(m):
-                d = intersect(d, domain_of(self.grid[i][j]))
-            out.append(d)
-        return tuple(out)
+        return cached(self, "_column_domains",
+                      lambda a: tuple(_intersection(col) for col in zip(*a.grid)))
 
     block_domains = column_domains
 

@@ -20,6 +20,11 @@ The ResidualL2 atom combines per term: the diagonal part must be square
 summable by the weighted rule and every source column that multiplies a
 nonzero coordinate must itself be an l2 sequence.  Cancellation between the
 diagonal and a source column is deliberately not modelled.
+
+Weights, descriptors and the operators built on them are immutable, so
+derived structure is computed once per value and stored on it (``cached``):
+forced and excluded coordinates per descriptor here, the natural domain per
+operator and the block domains per composite in the layers above.
 """
 
 from __future__ import annotations
@@ -78,6 +83,19 @@ def linear_combination(verdicts: list[Verdict]) -> Verdict:
     return Verdict.UNKNOWN
 
 
+def cached(obj, attr: str, compute):
+    """``compute(obj)``, stored on the immutable ``obj`` the first time.
+
+    The attribute is private: equality and hashing never read it.
+    """
+    try:
+        return getattr(obj, attr)
+    except AttributeError:
+        value = compute(obj)
+        object.__setattr__(obj, attr, value)
+        return value
+
+
 # --- polynomial helpers (dense, Fraction coefficients) ---------------------
 
 def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -89,13 +107,6 @@ def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def _as_poly(coeffs) -> tuple[Fraction, ...]:
     return _trim(tuple(Fraction(c) for c in coeffs))
-
-
-def _poly_eval(coeffs, k: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
 
 
 def _poly_mul(a, b) -> tuple[Fraction, ...]:
@@ -121,20 +132,88 @@ def _poly_scale(a, s: Fraction) -> tuple[Fraction, ...]:
     return _trim(tuple(c * s for c in a))
 
 
-def _integer_root_bound(coeffs) -> int:
-    # Cauchy bound: all roots have |x| <= 1 + max |c_i| / |c_lead|.
-    lead = abs(coeffs[-1])
-    if len(coeffs) == 1:
-        return 0
-    biggest = max(abs(c) for c in coeffs[:-1])
-    return int(math.ceil(1 + float(biggest / lead)))
+def _integer_coeffs(coeffs, scale: int) -> tuple[int, ...]:
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
 
 
-def _has_nonneg_integer_root(coeffs) -> bool:
-    if not coeffs:
-        return True  # the zero polynomial vanishes everywhere
-    bound = _integer_root_bound(coeffs)
-    return any(_poly_eval(coeffs, k) == 0 for k in range(bound + 1))
+def _horner(coeffs: tuple[int, ...], k: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
+
+
+def _poly_rem(a, b) -> tuple[Fraction, ...]:
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b):
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
+
+
+def _sturm_chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # Positive rescaling keeps every sign, so the chain stays integral.
+    chain = [p, tuple(i * c for i, c in enumerate(p) if i)]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        neg = tuple(-c for c in rem)
+        chain.append(_integer_coeffs(neg, math.lcm(*(c.denominator for c in neg))))
+    return chain
+
+
+def _sign_changes(chain: list[tuple[int, ...]], x: int) -> int:
+    changes, last = 0, 0
+    for p in chain:
+        v = _horner(p, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _has_nonneg_integer_root(coeffs: tuple[int, ...]) -> bool:
+    """Whether an integer polynomial (ascending coefficients, no trailing
+    zero) vanishes at some integer k >= 0.
+
+    Exact root isolation: Descartes' rule of signs rules out positive roots
+    when the coefficients never change sign, a linear polynomial is solved
+    outright, and otherwise Sturm sequences bisect the integer interval up
+    to the Cauchy bound.  The cost grows with the degree and with the
+    logarithm of the coefficients.
+    """
+    if not coeffs or coeffs[0] == 0:
+        return True  # the zero polynomial, or the root k = 0
+    nonzero = [c > 0 for c in coeffs if c]
+    if all(s is nonzero[0] for s in nonzero):
+        return False
+    if len(coeffs) == 2:
+        return coeffs[0] % coeffs[1] == 0
+    # Cauchy bound: every root has |x| <= 1 + max |c_i| / |c_lead|.
+    bound = 1 - (-max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1]))
+    if _horner(coeffs, bound) == 0:
+        return True
+    chain = _sturm_chain(coeffs)
+    # (lo, hi) with neither end a root; Sturm counts the distinct roots
+    # strictly between them as the drop in sign changes.
+    todo = [(0, _sign_changes(chain, 0), bound, _sign_changes(chain, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi or hi - lo == 1:
+            continue
+        mid = (lo + hi) // 2
+        if _horner(coeffs, mid) == 0:
+            return True
+        v_mid = _sign_changes(chain, mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return False
 
 
 @dataclass(frozen=True)
@@ -143,6 +222,8 @@ class RationalWeight:
 
     Stored with a monic denominator so structurally equal weights compare
     equal; ``same_rational`` decides equality as rational functions.
+    Evaluation runs on integer copies of both polynomials over a common
+    multiplier, which ``__eq__`` and ``hash`` ignore.
     """
 
     num: tuple[Fraction, ...]
@@ -153,18 +234,19 @@ class RationalWeight:
         den = _as_poly(self.den)
         if not den:
             raise ValueError("denominator must not be the zero polynomial")
-        if _has_nonneg_integer_root(den):
-            raise ValueError("denominator vanishes at some integer k >= 0")
         lead = den[-1]
         num = _poly_scale(num, 1 / lead)
         den = _poly_scale(den, 1 / lead)
+        scale = math.lcm(*(c.denominator for c in num + den))
+        int_num = _integer_coeffs(num, scale)
+        int_den = _integer_coeffs(den, scale)
+        if _has_nonneg_integer_root(int_den):
+            raise ValueError("denominator vanishes at some integer k >= 0")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        # Integer Horner evaluation is much cheaper than Fraction arithmetic.
-        int_num = (tuple(int(c) for c in num)
-                   if all(c.denominator == 1 for c in num) else None)
-        object.__setattr__(self, "_int_num",
-                           int_num if den == (Fraction(1),) else None)
+        object.__setattr__(self, "_int_num", int_num)
+        # None marks the scaled denominator 1: eval then returns an int.
+        object.__setattr__(self, "_int_den", None if int_den == (1,) else int_den)
 
     @classmethod
     def poly(cls, *coeffs) -> "RationalWeight":
@@ -202,15 +284,9 @@ class RationalWeight:
     def eval(self, k: int):
         if k < 0:
             raise ValueError("index must be >= 0")
-        ints = self._int_num
-        if ints is not None:
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * k + c
-            return acc
-        if self.is_zero:
-            return Fraction(0)
-        return _poly_eval(self.num, k) / _poly_eval(self.den, k)
+        acc = _horner(self._int_num, k)
+        den = self._int_den
+        return acc if den is None else Fraction(acc, _horner(den, k))
 
     def __add__(self, other: "RationalWeight") -> "RationalWeight":
         num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
@@ -240,7 +316,7 @@ class RationalWeight:
 
     def vanishes_at_some_index(self) -> bool:
         """Whether the numerator has a zero at an integer k >= 0."""
-        return _has_nonneg_integer_root(self.num)
+        return _has_nonneg_integer_root(self._int_num)
 
     def to_json(self) -> dict:
         return {"num": [encode_scalar(c) for c in self.num],
@@ -260,7 +336,7 @@ class RationalWeight:
                       for i, c in enumerate(num)),
                 tuple(Fraction(decode_scalar(c, f"{path}.den[{i}]"))
                       for i, c in enumerate(den)))
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise InvalidDefinition(f"{path}: {exc}") from exc
 
 
@@ -336,7 +412,7 @@ def _normalize_atom(atom: Atom) -> list[Atom]:
 class DomainDescriptor:
     """Conjunction of atoms; order-insensitive for membership and equality."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_forced", "_excluded")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         seen: list[Atom] = []
@@ -496,6 +572,10 @@ def forced_coordinates(d: DomainDescriptor) -> frozenset[int]:
 
     CoordinateZero atoms are forced directly.
     """
+    return cached(d, "_forced", _forced_coordinates)
+
+
+def _forced_coordinates(d: DomainDescriptor) -> frozenset[int]:
     forced: set[int] = set()
     residuals = []
     weighted_degrees = []
@@ -553,6 +633,10 @@ def admits_all_finitely_supported(d: DomainDescriptor) -> bool:
 
 def excluded_coordinates(d: DomainDescriptor) -> frozenset[int]:
     """Coordinates a finitely supported member must avoid."""
+    return cached(d, "_excluded", _excluded_coordinates)
+
+
+def _excluded_coordinates(d: DomainDescriptor) -> frozenset[int]:
     out = set(forced_coordinates(d))
     for atom in d.atoms:
         if isinstance(atom, ResidualL2):

@@ -28,6 +28,7 @@ from .domains import (
     SeriesConverges,
     Verdict,
     WeightedL2,
+    cached,
     member,
 )
 from .errors import InvalidDefinition, NotInDomain, Undecidable, UnsupportedOperand
@@ -195,6 +196,10 @@ class AppliedVector:
 
 def domain_of(op: StructuredOperator) -> DomainDescriptor:
     """Maximal natural domain: all of l2 where the defining series land in l2."""
+    return cached(op, "_domain", _natural_domain)
+
+
+def _natural_domain(op: StructuredOperator) -> DomainDescriptor:
     atoms: list = [SeriesConverges(w) for _, w in op.sinks]
     if op.sources:
         atoms.append(ResidualL2(op.diag, op.sources))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from opmx.calculus import (
     matrix_formal_adjoint,
     row_adjoint,
 )
-from opmx.domains import RationalWeight, Verdict, forced_coordinates
+from opmx.domains import (
+    DomainDescriptor,
+    RationalWeight,
+    Verdict,
+    excluded_coordinates,
+    forced_coordinates,
+)
 from opmx.errors import (
     FactorCheckFailed,
     NotApplicable,
@@ -331,3 +338,55 @@ def test_composite_json_round_trip_row_and_col():
     assert composite_from_json(composite_to_json(row)) == row
     col = ColOp((shifted_diagonal(),))
     assert composite_from_json(composite_to_json(col)) == col
+
+
+# --- derived structure computed once ----------------------------------------------
+
+def _sample_composites():
+    zero = StructuredOperator.zero()
+    return [
+        RowOp((squared_diagonal(), collecting_unbounded_entry())),
+        ColOp((squared_diagonal(), collecting_unbounded_entry())),
+        OpMatrix(((squared_diagonal(), collecting_unbounded_entry()),
+                  (zero, collecting_unbounded_entry()))),
+        matrix_formal_adjoint(OpMatrix(((squared_diagonal(), zero),
+                                        (shifted_diagonal(), squared_diagonal())))),
+    ]
+
+
+def test_cached_domains_equal_a_fresh_computation():
+    for x in _sample_composites():
+        cached_blocks = x.block_domains
+        assert x.block_domains is cached_blocks
+        fresh = dataclasses.replace(x)
+        assert fresh.block_domains == cached_blocks
+        for d, d_fresh in zip(cached_blocks, fresh.block_domains):
+            assert forced_coordinates(d) == forced_coordinates(
+                DomainDescriptor(d_fresh.atoms))
+            assert excluded_coordinates(d) == excluded_coordinates(
+                DomainDescriptor(d_fresh.atoms))
+            assert forced_coordinates(d) is forced_coordinates(d)
+        ops = x.entries if hasattr(x, "entries") else [op for row in x.grid for op in row]
+        for op in ops:
+            assert domain_of(op) is domain_of(op)
+            assert domain_of(op) == domain_of(dataclasses.replace(op))
+    col = _sample_composites()[1]
+    assert col.domain is col.domain
+    assert col.domain == dataclasses.replace(col).domain
+
+
+def test_caching_leaves_equality_and_hash_unchanged():
+    for x in _sample_composites():
+        before = hash(x)
+        fresh = dataclasses.replace(x)
+        for d in x.block_domains:
+            forced_coordinates(d)
+            excluded_coordinates(d)
+        assert hash(x) == before == hash(fresh)
+        assert x == fresh and fresh == x
+        for d, d_fresh in zip(x.block_domains, fresh.block_domains):
+            assert hash(d) == hash(DomainDescriptor(d_fresh.atoms))
+    w = RationalWeight.ratio([1, 2], [3, 1])
+    assert w == RationalWeight.ratio([1, 2], [3, 1])
+    assert hash(w) == hash(RationalWeight.ratio([1, 2], [3, 1]))
+    assert repr(w) == repr(RationalWeight.ratio([1, 2], [3, 1]))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -108,3 +109,63 @@ def test_text_format_summarizes():
 def test_invalid_config_rejected():
     with pytest.raises(Exception):
         run_suite(SuiteConfig(truncations=(), samples=5))
+
+
+def _define(tmp_path, definition, **config):
+    path = tmp_path / "definition.json"
+    path.write_text(json.dumps(definition))
+    code, reports = run_suite(SuiteConfig(define_path=str(path), truncations=(4,),
+                                          samples=20, **config))
+    return code, {r["check"]: r for r in reports}
+
+
+K2 = {"num": [0, 0, 1]}
+K = {"num": [0, 1]}
+
+
+def test_define_reports_denseness_for_every_adjoint_block(tmp_path):
+    grid = {"grid": [["zero", "zero"],
+                     [{"diag": K2}, {"diag": K2, "sinks": [{"target": 0, "weight": K}]}]]}
+    code, got = _define(tmp_path, grid)
+    assert code == 0
+    assert "adjoint_denseness" not in got
+    assert got["adjoint_denseness@0"]["certificate"]["dense"] is True
+    assert got["adjoint_denseness@1"]["verdict"] == "fail"
+    assert got["adjoint_denseness@1"]["certificate"] == {"dense": False, "forced": [0]}
+
+
+def test_define_single_block_adjoint_keeps_its_name_and_rows_get_none(tmp_path):
+    op = {"diag": {"num": [2]}, "sinks": [{"target": 3, "weight": K}]}
+    code, got = _define(tmp_path, op)
+    assert code == 0
+    assert got["adjoint_denseness"]["certificate"] == {"dense": False, "forced": [3]}
+    assert not any(c.startswith("adjoint_denseness@") for c in got)
+    code, got = _define(tmp_path, {"kind": "row", "entries": [{"diag": K2}, {"diag": K}]})
+    assert code == 0
+    assert not any(c.startswith("adjoint_denseness") for c in got)
+
+
+def test_define_with_huge_shift_denominator_is_fast(tmp_path):
+    op = {"diag": K2, "sinks": [{"target": 0, "weight": {"num": [1],
+                                                         "den": [1000000000, 1]}}]}
+    start = time.perf_counter()
+    code, got = _define(tmp_path, op)
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    assert got["pairing"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("text", [
+    # 1e400 parses as an infinite float
+    '{"diag": {"num": [0, 0, 1]}, "sinks": [{"target": 0, '
+    '"weight": {"num": [1], "den": [1e400, 1]}}]}',
+    # past the interpreter's limit on integer literals
+    '{"diag": {"num": [' + "1" * 5000 + ']}}',
+])
+def test_exit_two_without_traceback_on_unrepresentable_numbers(tmp_path, text):
+    path = tmp_path / "op.json"
+    path.write_text(text)
+    result = _run_cli(["--define", str(path)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

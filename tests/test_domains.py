@@ -1,7 +1,10 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opmx.domains import (
     All,
@@ -9,6 +12,7 @@ from opmx.domains import (
     DomainDescriptor,
     RationalWeight,
     ResidualL2,
+    _has_nonneg_integer_root,
     SeriesConverges,
     Verdict,
     WeightedL2,
@@ -62,6 +66,91 @@ def test_weight_arithmetic_and_rational_equality():
 def test_weight_json_round_trip():
     w = RationalWeight.ratio([Fraction(1, 2), 1], [1, 0, 1])
     assert RationalWeight.from_json(w.to_json()) == w
+
+
+# --- weights in integer arithmetic ---------------------------------------------
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _rational_value(coeffs, k: int) -> Fraction:
+    return sum((Fraction(c) * k ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+@settings(deadline=None)
+@given(num=st.lists(RATIONALS, max_size=4), den=st.lists(RATIONALS, min_size=1, max_size=3),
+       k=st.integers(0, 10**4))
+def test_eval_matches_rational_arithmetic(num, den, k):
+    try:
+        w = RationalWeight(tuple(num), tuple(den))
+    except ValueError:
+        assume(False)
+    assert w.eval(k) == _rational_value(num, k) / _rational_value(den, k)
+
+
+@settings(deadline=None)
+@given(num=st.lists(st.integers(-10**6, 10**6), max_size=5), k=st.integers(0, 10**4))
+def test_eval_of_integer_polynomial_is_an_int(num, k):
+    value = RationalWeight.poly(*num).eval(k)
+    assert type(value) is int
+    assert value == _rational_value(num, k)
+
+
+def test_eval_types_match_the_weight_class():
+    assert type(RationalWeight.poly(Fraction(1, 2), 1).eval(3)) is Fraction
+    assert type(RationalWeight.ratio([1], [1, 1]).eval(3)) is Fraction
+    assert type(RationalWeight.constant(0).eval(3)) is int
+
+
+def _sympy_has_nonneg_integer_root(coeffs) -> bool:
+    sympy = pytest.importorskip("sympy")
+    if not any(coeffs):
+        return True
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    if poly.degree() == 0:
+        return False
+    return any(r.is_integer and r >= 0 for r in sympy.real_roots(poly))
+
+
+@st.composite
+def integer_polys(draw):
+    """Random integer polynomials, half of them built from chosen roots."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-30, 30), max_size=6))
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+    coeffs = [draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))]
+    for _ in range(draw(st.integers(1, 4))):
+        p, q = draw(st.integers(-40, 40)), draw(st.integers(1, 3))
+        # multiply by (q k - p): a root p/q, an integer when q divides p
+        coeffs = [a - b for a, b in zip([0] + [q * c for c in coeffs],
+                                        [p * c for c in coeffs] + [0])]
+    return tuple(coeffs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(coeffs=integer_polys())
+def test_root_test_agrees_with_sympy(coeffs):
+    assert _has_nonneg_integer_root(coeffs) == _sympy_has_nonneg_integer_root(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ((10**9, 1), False),                              # k + 10^9
+    ((-10**9, 1), True),                              # k - 10^9
+    ((2 * 10**9 + 1, -2), False),                     # root 10^9 + 1/2
+    ((-10**18, 0, 1), True),                          # k^2 - 10^18
+    ((-(10**18 + 1), 0, 1), False),                   # k^2 - 10^18 - 1
+    ((-10**400, 1, 0, 1), False),                     # k^3 + k - 10^400
+    ((10**400, -(10**400 + 1), 1), True),             # (k - 1)(k - 10^400)
+    ((9, -6, 1), True),                               # (k - 3)^2
+    ((-7, 0, 0, 0, 0, 1), False),                     # k^5 - 7
+])
+def test_root_test_is_exact_and_fast_on_large_coefficients(coeffs, expected):
+    start = time.perf_counter()
+    assert _has_nonneg_integer_root(coeffs) is expected
+    assert time.perf_counter() - start < 0.5
 
 
 # --- descriptors ------------------------------------------------------------
