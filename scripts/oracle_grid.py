@@ -7,6 +7,8 @@ million terms.  Disagreements, if any, are flagged in the last column.
 """
 
 import argparse
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +24,8 @@ from opmx.domains import (
 )
 from opmx.seqspace import ALTERNATING, PowerLaw, eval_family
 
-
-def weight_values(weight, k):
-    num = [float(c) for c in reversed(weight.num)] or [0.0]
-    den = [float(c) for c in reversed(weight.den)]
-    return np.polyval(num, k) / np.polyval(den, k)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import weight_values  # noqa: E402
 
 
 def numeric_verdict(atom, p, sign, nmax):

@@ -1,10 +1,11 @@
 """Row, column, and matrix composites with block-domain semantics.
 
-A row acts on a direct sum, (f_1 + ... + f_n) -> sum_j R_j f_j, with the
-direct sum of entry domains.  A column acts into a direct sum,
-f -> (C_1 f, ..., C_n f), on the intersection of entry domains.  A matrix
-combines both: the block domain of column j is the intersection of the entry
-domains in that column.
+Every composite is a grid of structured operators with one block calculus:
+block column j acts on the intersection of the entry domains in column j,
+and output block i is the sum along row i.  A row is the 1 x n matrix,
+(f_1 + ... + f_n) -> sum_j R_j f_j on the direct sum of entry domains; a
+column is the n x 1 matrix, f -> (C_1 f, ..., C_n f) on the intersection of
+entry domains; a single operator is the 1 x 1 matrix (``as_matrix``).
 
 The formal adjoint of a composite is the transposed composite of entrywise
 adjoints.  For a densely defined row this equals the true adjoint; for
@@ -82,123 +83,47 @@ def _as_blocks(x, arity: int) -> Blocks:
 
 def _intersection(ops) -> DomainDescriptor:
     """Common domain of the operators, as one descriptor."""
+    if len(ops) == 1:
+        return domain_of(ops[0])
     return DomainDescriptor(atom for op in ops for atom in domain_of(op).atoms)
 
 
-@dataclass(frozen=True)
-class RowOp:
-    entries: tuple[StructuredOperator, ...]
+class _Blocks:
+    """Block semantics over ``grid``, the one implementation every composite uses.
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ShapeMismatch("a row needs at least one entry")
+    Block column j acts on the intersection of the entry domains in column j,
+    and output block i is the sum along row i.
+    """
 
-    @property
-    def input_arity(self) -> int:
-        return len(self.entries)
-
-    @property
-    def output_arity(self) -> int:
-        return 1
-
-    @property
-    def block_domains(self) -> tuple[DomainDescriptor, ...]:
-        return cached(self, "_block_domains",
-                      lambda r: tuple(domain_of(e) for e in r.entries))
-
-    @property
-    def densely_defined(self) -> bool:
-        return all(not forced_coordinates(d) for d in self.block_domains)
-
-    def member(self, blocks) -> Verdict:
-        blocks = _as_blocks(blocks, self.input_arity)
-        return conjunction(member(b, d) for b, d in zip(blocks, self.block_domains))
-
-    def apply(self, blocks) -> AppliedVector:
-        blocks = _as_blocks(blocks, self.input_arity)
-        out = AppliedVector()
-        for op, b in zip(self.entries, blocks):
-            out = out + apply(op, b)
-        return out
-
-    def truncation(self, t: Truncation) -> np.ndarray:
-        return np.hstack([truncation_matrix(e, t) for e in self.entries])
-
-
-@dataclass(frozen=True)
-class ColOp:
-    entries: tuple[StructuredOperator, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ShapeMismatch("a column needs at least one entry")
-
-    @property
-    def input_arity(self) -> int:
-        return 1
-
-    @property
-    def output_arity(self) -> int:
-        return len(self.entries)
-
-    @property
-    def domain(self) -> DomainDescriptor:
-        return cached(self, "_domain", lambda c: _intersection(c.entries))
-
-    @property
-    def block_domains(self) -> tuple[DomainDescriptor, ...]:
-        return cached(self, "_block_domains", lambda c: (c.domain,))
-
-    @property
-    def densely_defined(self) -> bool:
-        return not forced_coordinates(self.domain)
-
-    def member(self, blocks) -> Verdict:
-        (f,) = _as_blocks(blocks, 1)
-        return member(f, self.domain)
-
-    def apply(self, blocks) -> tuple[AppliedVector, ...]:
-        (f,) = _as_blocks(blocks, 1)
-        return tuple(apply(op, f) for op in self.entries)
-
-    def truncation(self, t: Truncation) -> np.ndarray:
-        return np.vstack([truncation_matrix(e, t) for e in self.entries])
-
-
-@dataclass(frozen=True)
-class OpMatrix:
-    grid: tuple[tuple[StructuredOperator, ...], ...]
+    _kind = "matrix"
 
     def __post_init__(self):
         if not self.grid or not self.grid[0]:
-            raise ShapeMismatch("a matrix needs at least one entry")
-        width = len(self.grid[0])
-        if any(len(row) != width for row in self.grid):
+            raise ShapeMismatch(f"a {self._kind} needs at least one entry")
+        if any(len(row) != len(self.grid[0]) for row in self.grid):
             raise ShapeMismatch("ragged operator grid")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.grid), len(self.grid[0])
+        return self.output_arity, self.input_arity
 
     @property
     def input_arity(self) -> int:
-        return self.shape[1]
+        return len(self.grid[0])
 
     @property
     def output_arity(self) -> int:
-        return self.shape[0]
+        return len(self.grid)
 
     @property
-    def column_domains(self) -> tuple[DomainDescriptor, ...]:
-        return cached(self, "_column_domains",
+    def block_domains(self) -> tuple[DomainDescriptor, ...]:
+        return cached(self, "_block_domains",
                       lambda a: tuple(_intersection(col) for col in zip(*a.grid)))
-
-    block_domains = column_domains
 
     @property
     def column_dense_flags(self) -> tuple[bool, ...]:
         """Recorded, not enforced: no provably forced coordinate per column."""
-        return tuple(not forced_coordinates(d) for d in self.column_domains)
+        return tuple(not forced_coordinates(d) for d in self.block_domains)
 
     @property
     def densely_defined(self) -> bool:
@@ -206,7 +131,7 @@ class OpMatrix:
 
     def member(self, blocks) -> Verdict:
         blocks = _as_blocks(blocks, self.input_arity)
-        return conjunction(member(b, d) for b, d in zip(blocks, self.column_domains))
+        return conjunction(member(b, d) for b, d in zip(blocks, self.block_domains))
 
     def apply(self, blocks) -> tuple[AppliedVector, ...]:
         blocks = _as_blocks(blocks, self.input_arity)
@@ -219,11 +144,65 @@ class OpMatrix:
         return tuple(out)
 
     def truncation(self, t: Truncation) -> np.ndarray:
-        return np.vstack([
-            np.hstack([truncation_matrix(op, t) for op in row]) for row in self.grid])
+        return np.block([[truncation_matrix(op, t) for op in row] for row in self.grid])
+
+
+@dataclass(frozen=True)
+class RowOp(_Blocks):
+    """The 1 x n matrix (f_1, ..., f_n) -> sum_j R_j f_j."""
+
+    entries: tuple[StructuredOperator, ...]
+    _kind = "row"
+
+    @property
+    def grid(self) -> tuple[tuple[StructuredOperator, ...], ...]:
+        return (self.entries,)
+
+    # opmxbench/spans.py reads these names from the class dict.
+    block_domains = _Blocks.block_domains
+
+    def apply(self, blocks) -> AppliedVector:
+        (out,) = super().apply(blocks)
+        return out
+
+
+@dataclass(frozen=True)
+class ColOp(_Blocks):
+    """The n x 1 matrix f -> (C_1 f, ..., C_n f)."""
+
+    entries: tuple[StructuredOperator, ...]
+    _kind = "column"
+
+    @property
+    def grid(self) -> tuple[tuple[StructuredOperator, ...], ...]:
+        return tuple((e,) for e in self.entries)
+
+    @property
+    def domain(self) -> DomainDescriptor:
+        return self.block_domains[0]
+
+    # opmxbench/spans.py reads these names from the class dict.
+    apply = _Blocks.apply
+    block_domains = _Blocks.block_domains
+
+
+@dataclass(frozen=True)
+class OpMatrix(_Blocks):
+    grid: tuple[tuple[StructuredOperator, ...], ...]
+
+    # opmxbench/spans.py reads these names from the class dict.
+    apply = _Blocks.apply
+    column_domains = block_domains = _Blocks.block_domains
 
 
 Composite = RowOp | ColOp | OpMatrix
+
+
+def as_matrix(x: Composite | StructuredOperator) -> OpMatrix:
+    """The same map as a matrix: an operator is 1 x 1, a row 1 x n, a column n x 1."""
+    if isinstance(x, StructuredOperator):
+        return OpMatrix(((x,),))
+    return x if isinstance(x, OpMatrix) else OpMatrix(x.grid)
 
 
 def assemble(kind: str, parts) -> Composite:
@@ -238,33 +217,46 @@ def assemble(kind: str, parts) -> Composite:
     raise ShapeMismatch(f"unknown composite kind {kind!r}")
 
 
-def _require_densely_defined(op: StructuredOperator) -> None:
-    forced = forced_coordinates(domain_of(op))
-    if forced:
-        raise NotDenselyDefined(
-            f"entry {op.name or 'operator'} forces coordinates {sorted(forced)}")
+def _require_densely_defined(x: Composite) -> None:
+    for row in x.grid:
+        for op in row:
+            forced = forced_coordinates(domain_of(op))
+            if forced:
+                raise NotDenselyDefined(
+                    f"entry {op.name or 'operator'} forces coordinates {sorted(forced)}")
+
+
+def _adjoint_grid(x: Composite) -> tuple[tuple[StructuredOperator, ...], ...]:
+    """The transposed grid of entry adjoints."""
+    return tuple(tuple(formal_adjoint_op(op) for op in col) for col in zip(*x.grid))
 
 
 def row_adjoint(r: RowOp) -> ColOp:
     """True adjoint of a densely defined row: the column of entry adjoints."""
-    for e in r.entries:
-        _require_densely_defined(e)
-    return ColOp(tuple(formal_adjoint_op(e) for e in r.entries))
+    _require_densely_defined(r)
+    return ColOp(tuple(e for (e,) in _adjoint_grid(r)))
 
 
 def col_formal_adjoint(c: ColOp) -> RowOp:
     """Row of entry adjoints; contained in the true adjoint, possibly strictly."""
-    return RowOp(tuple(formal_adjoint_op(e) for e in c.entries))
+    (entries,) = _adjoint_grid(c)
+    return RowOp(entries)
 
 
 def matrix_formal_adjoint(a: OpMatrix) -> OpMatrix:
-    m, n = a.shape
-    for row in a.grid:
-        for op in row:
-            _require_densely_defined(op)
-    grid = tuple(tuple(formal_adjoint_op(a.grid[i][j]) for i in range(m))
-                 for j in range(n))
-    return OpMatrix(grid)
+    _require_densely_defined(a)
+    return OpMatrix(_adjoint_grid(a))
+
+
+def block_adjoint(x: Composite) -> Composite:
+    """The true adjoint of a row, the formal adjoint of a column or matrix."""
+    if isinstance(x, RowOp):
+        return row_adjoint(x)
+    if isinstance(x, ColOp):
+        return col_formal_adjoint(x)
+    if isinstance(x, OpMatrix):
+        return matrix_formal_adjoint(x)
+    raise ShapeMismatch(f"not a composite: {type(x).__name__}")
 
 
 # --- pair domains for the explicit two-entry formulas -----------------------
@@ -351,7 +343,6 @@ class ClosureRep:
     coupler: StructuredOperator
     side: ClosureSide
     domain: BlockDomains | CoupledSumDomain
-    base_injective: bool = True
 
     def apply(self, families) -> AppliedVector:
         f, g = _as_blocks(families, 2)
@@ -463,6 +454,16 @@ class CertifiedAdjoint:
     certificate: str
 
 
+_SHORTCUT_REASONS = {
+    RowOp: ("row adjoint is the column of entry adjoints; with at most one "
+            "unbounded entry it is densely defined"),
+    ColOp: ("column with at most one unbounded entry: formal adjoint "
+            "equals the true adjoint"),
+    OpMatrix: ("matrix with at most one unbounded entry: formal adjoint "
+               "equals the true adjoint"),
+}
+
+
 def adjoint_when_mostly_bounded(x: Composite) -> CertifiedAdjoint:
     """Adjoint shortcut when at most one entry is unbounded.
 
@@ -471,30 +472,12 @@ def adjoint_when_mostly_bounded(x: Composite) -> CertifiedAdjoint:
     always the true adjoint, and the boundedness count additionally makes it
     densely defined.
     """
-    if isinstance(x, RowOp):
-        entries = x.entries
-        limit = 1
-        build = lambda: row_adjoint(x)
-        reason = ("row adjoint is the column of entry adjoints; with at most one "
-                  "unbounded entry it is densely defined")
-    elif isinstance(x, ColOp):
-        entries = x.entries
-        limit = 1
-        build = lambda: col_formal_adjoint(x)
-        reason = ("column with at most one unbounded entry: formal adjoint "
-                  "equals the true adjoint")
-    elif isinstance(x, OpMatrix):
-        entries = tuple(op for row in x.grid for op in row)
-        limit = 1
-        build = lambda: matrix_formal_adjoint(x)
-        reason = ("matrix with at most one unbounded entry: formal adjoint "
-                  "equals the true adjoint")
-    else:
+    if type(x) not in _SHORTCUT_REASONS:
         raise ShapeMismatch(f"not a composite: {type(x).__name__}")
-    unbounded = sum(1 for e in entries if not is_bounded(e).is_yes)
-    if unbounded > limit:
-        raise NotApplicable(f"{unbounded} unbounded entries; at most {limit} allowed")
-    return CertifiedAdjoint(build(), reason)
+    unbounded = sum(1 for row in x.grid for e in row if not is_bounded(e).is_yes)
+    if unbounded > 1:
+        raise NotApplicable(f"{unbounded} unbounded entries; at most 1 allowed")
+    return CertifiedAdjoint(block_adjoint(x), _SHORTCUT_REASONS[type(x)])
 
 
 # --- JSON --------------------------------------------------------------------

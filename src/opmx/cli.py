@@ -18,16 +18,9 @@ import sys
 from dataclasses import dataclass
 
 from . import gallery
-from .calculus import (
-    ColOp,
-    RowOp,
-    col_formal_adjoint,
-    composite_from_json,
-    matrix_formal_adjoint,
-    row_adjoint,
-)
+from .calculus import ColOp, RowOp, block_adjoint, composite_from_json
 from .errors import InvalidDefinition, OpmxError
-from .operators import StructuredOperator, domain_of, formal_adjoint_op, is_bounded
+from .operators import StructuredOperator, is_bounded
 from .seqspace import Truncation
 from .verify import (
     PASS,
@@ -45,7 +38,6 @@ DEFAULT_SEED = 42
 class SuiteConfig:
     cases: tuple[str, ...] = ("all",)
     truncations: tuple[int, ...] = (64,)
-    tol: float = 1e-10
     samples: int = 200
     seed: int = DEFAULT_SEED
     fmt: str = "json"
@@ -56,8 +48,6 @@ class SuiteConfig:
     def validate(self) -> None:
         if not self.truncations or any(n < 1 for n in self.truncations):
             raise InvalidDefinition("truncation: every value must be >= 1")
-        if self.tol <= 0:
-            raise InvalidDefinition("tol: must be positive")
         if self.samples < 0:
             raise InvalidDefinition("samples: must be >= 0")
         if self.fmt not in ("json", "text"):
@@ -102,17 +92,10 @@ def _define_reports(config: SuiteConfig) -> list[tuple[str, VerificationReport]]
             raise InvalidDefinition(f"definition: invalid JSON: {exc}") from exc
     target = composite_from_json(payload, "definition")
     if isinstance(target, StructuredOperator):
-        adjoint = formal_adjoint_op(target)
-        entries = (target,)
-    elif isinstance(target, RowOp):
-        adjoint = row_adjoint(target)
-        entries = target.entries
-    elif isinstance(target, ColOp):
-        adjoint = col_formal_adjoint(target)
-        entries = target.entries
-    else:
-        adjoint = matrix_formal_adjoint(target)
-        entries = tuple(op for row in target.grid for op in row)
+        # The 1 x 1 case as a one-entry column: like an operator's formal
+        # adjoint, a column's needs no densely defined entries.
+        target = ColOp((target,))
+    adjoint = block_adjoint(target)
 
     reports: list[tuple[str, VerificationReport]] = []
     try:
@@ -130,15 +113,14 @@ def _define_reports(config: SuiteConfig) -> list[tuple[str, VerificationReport]]
         rep.check = f"transpose@{n}"
         rep.with_expected(PASS)
         reports.append(("user", rep))
-    bounded = [is_bounded(op).value for op in entries]
+    bounded = [is_bounded(op).value for row in target.grid for op in row]
     rep = VerificationReport("boundedness", PASS,
                              certificate={"entries": bounded})
     rep.with_expected(PASS)
     reports.append(("user", rep))
     # One report per adjoint block; a row's adjoint gets none.
     if not isinstance(target, RowOp):
-        blocks = ((domain_of(adjoint),) if isinstance(adjoint, StructuredOperator)
-                  else adjoint.block_domains)
+        blocks = adjoint.block_domains
         for i, d in enumerate(blocks):
             dens = denseness_obstruction(d)
             dens.check = ("adjoint_denseness" if len(blocks) == 1
@@ -158,7 +140,6 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     else:
         params = gallery.RunParams(truncations=tuple(config.truncations),
                                    samples=config.samples, seed=config.seed,
-                                   tol=config.tol,
                                    witness_nmax=config.witness_nmax)
         for name in _selected_cases(config):
             case = gallery.build_case(name)
@@ -198,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gallery case name, or 'all' (default)")
     parser.add_argument("--truncation", default="64",
                         help="comma-separated compression sizes, e.g. 4,64,256")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="relative tolerance for rank decisions")
     parser.add_argument("--samples", type=int, default=200,
                         help="random sample count per pairing check")
     parser.add_argument("--seed", type=int, default=None,
@@ -240,7 +219,6 @@ def main(argv: list[str] | None = None) -> int:
         config = SuiteConfig(
             cases=tuple(args.case.split(",")),
             truncations=truncations,
-            tol=args.tol,
             samples=args.samples,
             seed=_resolve_seed(args.seed),
             fmt=args.fmt,

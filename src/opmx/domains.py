@@ -499,7 +499,7 @@ def _series_verdict(f: CoefficientFamily, c: RationalWeight) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def _atom_verdict(f: CoefficientFamily, atom: Atom) -> Verdict:
+def atom_verdict(f: CoefficientFamily, atom: Atom) -> Verdict:
     if isinstance(atom, All):
         return Verdict.YES
     if isinstance(atom, WeightedL2):
@@ -517,9 +517,6 @@ def _atom_verdict(f: CoefficientFamily, atom: Atom) -> Verdict:
                 parts.append(Verdict.NO)
         return conjunction(parts)
     raise TypeError(f"not an atom: {atom!r}")
-
-
-atom_verdict = _atom_verdict
 
 
 def _ambient_l2_verdict(f: CoefficientFamily) -> Verdict:
@@ -544,7 +541,7 @@ def member(f: CoefficientFamily, d: DomainDescriptor) -> Verdict:
                         return Verdict.NO
         return Verdict.YES
     verdicts = [_ambient_l2_verdict(f)]
-    verdicts.extend(_atom_verdict(f, a) for a in d.atoms)
+    verdicts.extend(atom_verdict(f, a) for a in d.atoms)
     return conjunction(verdicts)
 
 

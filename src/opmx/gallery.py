@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -80,16 +80,11 @@ from .verify import (
     run_witness,
 )
 
-CASE_NAMES = ("e1_row", "case_I", "case_II", "case_III_discrete", "case_IV",
-              "t1591", "remark_col3")
-
-
 @dataclass(frozen=True)
 class RunParams:
     truncations: tuple[int, ...] = (64,)
     samples: int = 200
     seed: int = 42
-    tol: float = 1e-10
     witness_nmax: int = 10_000
 
 
@@ -450,103 +445,88 @@ def _run_remark_col3(params: RunParams) -> list[VerificationReport]:
 
 # --- registry ----------------------------------------------------------------------
 
-def _case_specs() -> dict[str, dict]:
-    return {
-        "e1_row": {
-            "claim": "row of two closed unbounded entries that is not closable",
-            "classification": None,
-            "expected": (("witness", PASS), ("adjoint_denseness", FAIL),
-                         ("pairing", PASS), ("transpose", PASS)),
-            "runner": _run_e1_row,
-            "export": lambda: composite_to_json(unbounded_pair_row()),
-        },
-        "case_I": {
-            "claim": "A is not closable",
-            "classification": "I",
-            "expected": (("witness", PASS), ("pairing", PASS), ("transpose", PASS)),
-            "runner": _run_case_i,
-            "export": lambda: composite_to_json(_case_i_matrix()),
-        },
-        "case_II": {
-            "claim": "A is closable and A^x is not densely defined",
-            "classification": "II",
-            "expected": (("adjoint_block1_denseness", FAIL), ("pairing", PASS),
-                         ("transpose", PASS)),
-            "runner": _run_case_ii,
-            "export": lambda: composite_to_json(_case_ii_matrix()),
-        },
-        "case_III_discrete": {
-            "claim": "A^x is densely defined but A' differs from the closure of A^x",
-            "classification": "III",
-            "expected": (("grid_transpose", PASS),
-                         ("second_row_kills_diagonal", PASS), ("pairing", PASS),
-                         ("closure_strictness", UNDECIDED)),
-            "runner": _run_case_iii,
-            "export": lambda: GridDerivativePair(8).to_json(),
-        },
-        "case_IV": {
-            "claim": "A' equals the closure of A^x but A' differs from A^x",
-            "classification": "IV",
-            "expected": (("double_adjoint_identity", PASS), ("strict_gap", PASS),
-                         ("pairing", PASS), ("transpose", PASS)),
-            "runner": _run_case_iv,
-            "export": lambda: composite_to_json(_case_iv_matrix()),
-        },
-        "t1591": {
-            "claim": "the formal adjoint domain of the column is strictly "
-                     "inside the true adjoint domain",
-            "classification": None,
-            "expected": (("strict_gap", PASS), ("pairing", PASS),
-                         ("transpose", PASS)),
-            "runner": _run_t1591,
-            "export": lambda: composite_to_json(_t1591_column()),
-        },
-        "remark_col3": {
-            "claim": "closable column with a non-closable first entry",
-            "classification": None,
-            "expected": (("witness", PASS), ("pairing", PASS), ("transpose", PASS)),
-            "runner": _run_remark_col3,
-            "export": lambda: operator_to_json(summing_functional()),
-        },
-    }
+_CASES = (
+    GalleryCase(
+        name="e1_row",
+        claim="row of two closed unbounded entries that is not closable",
+        classification=None,
+        expected=(("witness", PASS), ("adjoint_denseness", FAIL),
+                  ("pairing", PASS), ("transpose", PASS)),
+        runner=_run_e1_row,
+        export=lambda: composite_to_json(unbounded_pair_row())),
+    GalleryCase(
+        name="case_I",
+        claim="A is not closable",
+        classification="I",
+        expected=(("witness", PASS), ("pairing", PASS), ("transpose", PASS)),
+        runner=_run_case_i,
+        export=lambda: composite_to_json(_case_i_matrix())),
+    GalleryCase(
+        name="case_II",
+        claim="A is closable and A^x is not densely defined",
+        classification="II",
+        expected=(("adjoint_block1_denseness", FAIL), ("pairing", PASS),
+                  ("transpose", PASS)),
+        runner=_run_case_ii,
+        export=lambda: composite_to_json(_case_ii_matrix())),
+    GalleryCase(
+        name="case_III_discrete",
+        claim="A^x is densely defined but A' differs from the closure of A^x",
+        classification="III",
+        expected=(("grid_transpose", PASS), ("second_row_kills_diagonal", PASS),
+                  ("pairing", PASS), ("closure_strictness", UNDECIDED)),
+        runner=_run_case_iii,
+        export=lambda: GridDerivativePair(8).to_json()),
+    GalleryCase(
+        name="case_IV",
+        claim="A' equals the closure of A^x but A' differs from A^x",
+        classification="IV",
+        expected=(("double_adjoint_identity", PASS), ("strict_gap", PASS),
+                  ("pairing", PASS), ("transpose", PASS)),
+        runner=_run_case_iv,
+        export=lambda: composite_to_json(_case_iv_matrix())),
+    GalleryCase(
+        name="t1591",
+        claim="the formal adjoint domain of the column is strictly "
+              "inside the true adjoint domain",
+        classification=None,
+        expected=(("strict_gap", PASS), ("pairing", PASS), ("transpose", PASS)),
+        runner=_run_t1591,
+        export=lambda: composite_to_json(_t1591_column())),
+    GalleryCase(
+        name="remark_col3",
+        claim="closable column with a non-closable first entry",
+        classification=None,
+        expected=(("witness", PASS), ("pairing", PASS), ("transpose", PASS)),
+        runner=_run_remark_col3,
+        export=lambda: operator_to_json(summing_functional())),
+)
+
+CASE_NAMES = tuple(case.name for case in _CASES)
 
 
 def build_case(name: str) -> GalleryCase:
-    """Construct a gallery case; accepts 'case_III_discrete(8)' style names."""
-    base = name
+    """Look up a gallery case; accepts 'case_III_discrete(8)' style names."""
     m = re.fullmatch(r"case_III_discrete\((\d+)\)", name)
-    grid_n = None
-    if m:
-        base = "case_III_discrete"
-        grid_n = int(m.group(1))
-    specs = _case_specs()
-    if base not in specs:
+    base = "case_III_discrete" if m else name
+    for case in _CASES:
+        if case.name == base:
+            break
+    else:
         raise UnknownCase(f"unknown case {name!r}; known: {', '.join(CASE_NAMES)}")
-    spec = specs[base]
-    runner = spec["runner"]
-    if grid_n is not None:
-        sized = grid_n
-
-        def runner(params: RunParams, _inner=spec["runner"], _n=sized):
-            sized_params = RunParams(truncations=(_n,), samples=params.samples,
-                                     seed=params.seed, tol=params.tol,
-                                     witness_nmax=params.witness_nmax)
-            return _inner(sized_params)
-
-    return GalleryCase(name=base, claim=spec["claim"],
-                       classification=spec["classification"],
-                       expected=spec["expected"], runner=runner,
-                       export=spec["export"])
+    if m:
+        sized = (int(m.group(1)),)
+        case = replace(case, runner=lambda params: _run_case_iii(
+            replace(params, truncations=sized)))
+    return case
 
 
 def list_cases() -> list[tuple[str, str, tuple[tuple[str, str], ...]]]:
     """Names, claims, and expected verdicts, in canonical order."""
-    specs = _case_specs()
     out = []
-    for name in CASE_NAMES:
-        spec = specs[name]
-        label = spec["claim"]
-        if spec["classification"]:
-            label = f"{spec['classification']}: {label}"
-        out.append((name, label, spec["expected"]))
+    for case in _CASES:
+        label = case.claim
+        if case.classification:
+            label = f"{case.classification}: {label}"
+        out.append((case.name, label, case.expected))
     return out

@@ -145,6 +145,23 @@ def test_define_single_block_adjoint_keeps_its_name_and_rows_get_none(tmp_path):
     assert not any(c.startswith("adjoint_denseness") for c in got)
 
 
+@pytest.mark.parametrize("op", [
+    {"diag": K2, "sinks": [{"target": 0, "weight": K}]},
+    {"diag": K, "sources": [{"from": 1, "weight": {"num": [1], "den": [1, 1]}}]},
+])
+def test_define_treats_every_one_entry_shape_as_the_same_block(tmp_path, op):
+    # An operator, a 1 x 1 grid, a one-entry row and a one-entry column are the
+    # same 1 x 1 matrix.
+    shapes = [op, {"grid": [[op]]}, {"kind": "row", "entries": [op]},
+              {"kind": "col", "entries": [op]}]
+    runs = [_define(tmp_path, shape) for shape in shapes]
+    for code, got in runs:
+        assert code == 0
+        for check in ("pairing", "transpose@4"):
+            assert got[check] == runs[0][1][check]
+    assert runs[0][1]["pairing"]["certificate"]["pairs"] > 20
+
+
 def test_define_with_huge_shift_denominator_is_fast(tmp_path):
     op = {"diag": K2, "sinks": [{"target": 0, "weight": {"num": [1],
                                                          "den": [1000000000, 1]}}]}

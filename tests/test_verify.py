@@ -122,6 +122,15 @@ def test_witness_harmonic_band():
         assert 0.69 <= value <= 0.70
 
 
+def test_witness_run_too_short_to_vanish_is_undecided():
+    # The image claim holds and the norms decrease, but at n = 1000 the input
+    # norm sqrt(2)/1000 is still above the 1e-3 threshold: no counter-instance.
+    report = run_witness(unbounded_pair_row(), e1_witness(), range(1, 1001))
+    assert report.verdict == "undecided"
+    assert report.certificate["n_tested"] == 1000
+    assert report.certificate["final_input_norm"] > report.certificate["threshold"]
+
+
 def test_witness_fails_when_norms_grow():
     growing = WitnessFamily(inputs=lambda n: (FiniteSupport(e(0).scale(n)),),
                             claim="image_constant",
