@@ -217,15 +217,6 @@ def assemble(kind: str, parts) -> Composite:
     raise ShapeMismatch(f"unknown composite kind {kind!r}")
 
 
-def _require_densely_defined(x: Composite) -> None:
-    for row in x.grid:
-        for op in row:
-            forced = forced_coordinates(domain_of(op))
-            if forced:
-                raise NotDenselyDefined(
-                    f"entry {op.name or 'operator'} forces coordinates {sorted(forced)}")
-
-
 def _adjoint_grid(x: Composite) -> tuple[tuple[StructuredOperator, ...], ...]:
     """The transposed grid of entry adjoints."""
     return tuple(tuple(formal_adjoint_op(op) for op in col) for col in zip(*x.grid))
@@ -233,7 +224,11 @@ def _adjoint_grid(x: Composite) -> tuple[tuple[StructuredOperator, ...], ...]:
 
 def row_adjoint(r: RowOp) -> ColOp:
     """True adjoint of a densely defined row: the column of entry adjoints."""
-    _require_densely_defined(r)
+    for op in r.entries:
+        forced = forced_coordinates(domain_of(op))
+        if forced:
+            raise NotDenselyDefined(
+                f"entry {op.name or 'operator'} forces coordinates {sorted(forced)}")
     return ColOp(tuple(e for (e,) in _adjoint_grid(r)))
 
 
@@ -244,7 +239,7 @@ def col_formal_adjoint(c: ColOp) -> RowOp:
 
 
 def matrix_formal_adjoint(a: OpMatrix) -> OpMatrix:
-    _require_densely_defined(a)
+    """Transposed grid of entry adjoints; contained in the true adjoint."""
     return OpMatrix(_adjoint_grid(a))
 
 

@@ -38,6 +38,7 @@ from .seqspace import (
     Scalar,
     SparseVector,
     Truncation,
+    inner,
 )
 
 Anchor = tuple[int, RationalWeight]
@@ -178,8 +179,7 @@ class AppliedVector:
         return hash(self.finite)
 
     def inner_sparse(self, v: SparseVector) -> Scalar:
-        total: Scalar = sum((a * b for (k, a) in self.finite.entries
-                             for (k2, b) in v.entries if k == k2), 0)
+        total = inner(self.finite, v)
         for w, a in self.tails:
             total += a * sum((w.eval(k) * b for k, b in v.entries), 0)
         return total

@@ -134,15 +134,20 @@ def test_define_reports_denseness_for_every_adjoint_block(tmp_path):
     assert got["adjoint_denseness@1"]["certificate"] == {"dense": False, "forced": [0]}
 
 
-def test_define_single_block_adjoint_keeps_its_name_and_rows_get_none(tmp_path):
+def test_define_single_block_adjoint_keeps_its_name_for_operators_and_rows(tmp_path):
     op = {"diag": {"num": [2]}, "sinks": [{"target": 3, "weight": K}]}
     code, got = _define(tmp_path, op)
     assert code == 0
     assert got["adjoint_denseness"]["certificate"] == {"dense": False, "forced": [3]}
     assert not any(c.startswith("adjoint_denseness@") for c in got)
-    code, got = _define(tmp_path, {"kind": "row", "entries": [{"diag": K2}, {"diag": K}]})
+    # The adjoint of a row is one column: one block, one report.  The e1 row's
+    # forces coordinate 0.
+    e1_row = {"kind": "row", "entries": [
+        {"diag": K2}, {"diag": K2, "sinks": [{"target": 0, "weight": K}]}]}
+    code, got = _define(tmp_path, e1_row)
     assert code == 0
-    assert not any(c.startswith("adjoint_denseness") for c in got)
+    assert got["adjoint_denseness"]["certificate"] == {"dense": False, "forced": [0]}
+    assert not any(c.startswith("adjoint_denseness@") for c in got)
 
 
 @pytest.mark.parametrize("op", [
@@ -157,9 +162,20 @@ def test_define_treats_every_one_entry_shape_as_the_same_block(tmp_path, op):
     runs = [_define(tmp_path, shape) for shape in shapes]
     for code, got in runs:
         assert code == 0
-        for check in ("pairing", "transpose@4"):
+        for check in ("pairing", "transpose@4", "adjoint_denseness"):
             assert got[check] == runs[0][1][check]
     assert runs[0][1]["pairing"]["certificate"]["pairs"] > 20
+
+
+def test_define_grid_with_a_coordinate_forcing_entry_matches_the_bare_operator(tmp_path):
+    # A formal adjoint needs no densely defined entries, so the 1 x 1 grid runs
+    # every check like the bare operator instead of exiting 2.
+    op = {"diag": {"num": [1]}, "sources": [{"from": 0, "weight": {"num": [1]}}]}
+    bare = _define(tmp_path, op)
+    grid = _define(tmp_path, {"grid": [[op]]})
+    assert bare[0] == grid[0] == 0
+    assert grid[1] == bare[1]
+    assert set(grid[1]) == {"pairing", "transpose@4", "boundedness", "adjoint_denseness"}
 
 
 def test_define_with_huge_shift_denominator_is_fast(tmp_path):

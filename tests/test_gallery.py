@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,34 @@ def test_every_case_reproduces_expected_verdicts(name):
     for report in reports:
         assert report.match, (name, report.check, report.verdict, report.expected,
                               report.certificate)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_verdict_table_covers_exactly_the_checks_a_case_reports(name):
+    table = dict((case, expected) for case, _, expected in list_cases())[name]
+    reports = build_case(name).run(RunParams(truncations=(4, 6), samples=5,
+                                             witness_nmax=2))
+    assert {r.check.split("@", 1)[0] for r in reports} == {check for check, _ in table}
+
+
+@pytest.mark.parametrize("name", ["e1_row", "case_II"])
+def test_denseness_forcing_another_coordinate_does_not_match(name):
+    case = build_case(name)
+
+    def runner(params):
+        reports = case.runner(params)
+        for r in reports:
+            if "denseness" in r.check:
+                assert r.certificate["forced"] == {0}
+                r.certificate["forced"] = frozenset({1})
+        return reports
+
+    reports = replace(case, runner=runner).run(SMALL)
+    denseness = [r for r in reports if "denseness" in r.check]
+    assert len(denseness) == 1
+    assert denseness[0].verdict == denseness[0].expected == "fail"
+    assert denseness[0].match is False
+    assert all(r.match for r in reports if r is not denseness[0])
 
 
 def test_case_iii_accepts_sized_name():

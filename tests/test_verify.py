@@ -250,6 +250,13 @@ def test_strict_gap_fails_for_finite_support_vector():
     assert report.certificate["outside_formal_adjoint_domain"].value == "yes"
 
 
+def test_strict_gap_rejects_a_witness_with_float_values():
+    # PowerLaw(1.25) evaluates in floats; an exact certificate cannot rest on it.
+    with pytest.raises(HypothesisViolated):
+        check_strict_gap(shifted_diagonal(), StructuredOperator.zero(),
+                         PowerLaw(1.25), samples=10, corpus=family_corpus())
+
+
 def test_strict_gap_hypothesis_violated():
     with pytest.raises(HypothesisViolated):
         check_strict_gap(StructuredOperator.identity(), squared_diagonal(),
