@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains import (
     All,
     Atom,
@@ -56,14 +54,16 @@ from .errors import (
 )
 from .operators import (
     AppliedVector,
+    Entries,
     StructuredOperator,
     apply,
+    compression,
+    dense,
     domain_of,
     formal_adjoint_op,
     is_bounded,
     operator_from_json,
     operator_to_json,
-    truncation_matrix,
 )
 from .seqspace import CoefficientFamily, FiniteSupport, SparseVector, Truncation
 
@@ -143,8 +143,14 @@ class _Blocks:
             out.append(acc)
         return tuple(out)
 
-    def truncation(self, t: Truncation) -> np.ndarray:
-        return np.block([[truncation_matrix(op, t) for op in row] for row in self.grid])
+    def compression(self, n: int) -> Entries:
+        """Nonzero entries of the compression onto n coordinates per block."""
+        return {(r * n + i, c * n + j): v
+                for r, row in enumerate(self.grid) for c, op in enumerate(row)
+                for (i, j), v in compression(op, n).items()}
+
+    def truncation(self, t: Truncation):
+        return dense(self.compression(t.n), tuple(m * t.n for m in self.shape))
 
 
 @dataclass(frozen=True)

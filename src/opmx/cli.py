@@ -44,6 +44,8 @@ class SuiteConfig:
             raise InvalidDefinition("samples: must be >= 0")
         if self.fmt not in ("json", "text"):
             raise InvalidDefinition("format: expected json or text")
+        if self.define_path and self.expect_path:
+            raise InvalidDefinition("--expect cannot be combined with --define")
 
 
 def _selected_cases(config: SuiteConfig) -> list[str]:

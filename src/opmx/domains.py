@@ -591,14 +591,10 @@ def _forced_coordinates(d: DomainDescriptor) -> frozenset[int]:
             d2, s2 = residuals[j]
             if not d1.same_rational(d2):
                 continue
-            coords = set(s1) | set(s2)
-            diff = {}
-            for c in coords:
-                w = s1.get(c, RationalWeight.constant(0)) - s2.get(c, RationalWeight.constant(0))
-                if not w.is_zero:
-                    diff[c] = w
-            bad = [c for c, w in diff.items() if not w.is_ell2]
-            if len(bad) == 1 and all(diff[c].is_ell2 for c in diff if c != bad[0]):
+            zero = RationalWeight.constant(0)
+            bad = [c for c in set(s1) | set(s2)
+                   if not (s1.get(c, zero) - s2.get(c, zero)).is_ell2]
+            if len(bad) == 1:
                 forced.add(bad[0])
 
     for diag, sources in residuals:

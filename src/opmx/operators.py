@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .domains import (
     DomainDescriptor,
     RationalWeight,
@@ -42,6 +40,7 @@ from .seqspace import (
 )
 
 Anchor = tuple[int, RationalWeight]
+Entries = dict[tuple[int, int], Scalar]  # the nonzero entries of a matrix
 
 
 @dataclass(frozen=True)
@@ -265,21 +264,30 @@ def apply_coordinate(op: StructuredOperator, f: CoefficientFamily, k: int) -> Sc
     return value
 
 
-def truncation_matrix(op: StructuredOperator, t: Truncation) -> np.ndarray:
-    """Compression onto the first n coordinates, exact Fraction entries."""
-    n = t.n
-    mat = np.full((n, n), Fraction(0), dtype=object)
-    for k in range(n):
-        mat[k, k] += op.diag.eval(k)
-    for j, w in op.sinks:
-        if j < n:
-            for k in range(n):
-                mat[j, k] += w.eval(k)
-    for j, w in op.sources:
-        if j < n:
-            for i in range(n):
-                mat[i, j] += w.eval(i)
+def dense(entries: Entries, shape: tuple[int, int]):
+    """A numpy object matrix of exact Fractions, zero off the given entries."""
+    import numpy as np
+    mat = np.full(shape, Fraction(0), dtype=object)
+    for (i, j), v in entries.items():
+        mat[i, j] = Fraction(v)
     return mat
+
+
+def compression(op: StructuredOperator, n: int) -> Entries:
+    """Nonzero entries of the compression onto the first n coordinates: the
+    diagonal, one row per sink and one column per source."""
+    cells = [((k, k), op.diag, k) for k in range(n)]
+    cells += [((j, k), w, k) for j, w in op.sinks if j < n for k in range(n)]
+    cells += [((i, j), w, i) for j, w in op.sources if j < n for i in range(n)]
+    entries: Entries = {}
+    for ij, w, k in cells:
+        entries[ij] = entries.get(ij, 0) + w.eval(k)
+    return {ij: v for ij, v in entries.items() if v != 0}
+
+
+def truncation_matrix(op: StructuredOperator, t: Truncation):
+    """Compression onto the first n coordinates, a dense Fraction matrix."""
+    return dense(compression(op, t.n), (t.n, t.n))
 
 
 def is_bounded(op: StructuredOperator) -> Verdict:

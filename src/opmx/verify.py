@@ -1,9 +1,9 @@
 """Machine-checkable certificates for the operator calculus.
 
 Every check returns a VerificationReport: a verdict (pass / fail /
-undecided), the strongest certificate computed, the tolerance used (None on
-the exact rational path), and optionally the expected verdict with a match
-flag.  A failing report always carries a concrete counter-instance.
+undecided), the strongest certificate computed, the tolerance (None: every
+check is exact), and optionally the expected verdict with a match flag.  A
+failing report always carries a concrete counter-instance.
 
 The checks take an operator, a row, a column or a matrix, and see each as the
 matrix it is (``calculus.as_matrix``).
@@ -18,9 +18,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .calculus import as_matrix
 from .domains import (
@@ -48,12 +47,12 @@ from .operators import (
     domain_of,
     formal_adjoint_op,
 )
-from .seqspace import Truncation
 from .seqspace import (
     CoefficientFamily,
     FiniteSupport,
     Scalar,
     SparseVector,
+    Truncation,
     encode_scalar,
     family_to_json,
     norm_squared,
@@ -71,9 +70,6 @@ def _jsonable(value):
         return [[k, encode_scalar(v)] for k, v in value.entries]
     if isinstance(value, CoefficientFamily):
         return family_to_json(value)
-    if isinstance(value, AppliedVector):
-        return {"finite": _jsonable(value.finite),
-                "tails": [[w.to_json(), encode_scalar(a)] for w, a in value.tails]}
     if isinstance(value, Verdict):
         return value.value
     if isinstance(value, frozenset):
@@ -82,8 +78,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -223,24 +217,28 @@ def check_pairing(a, b, samples: int = 200, seed: int = 42,
 
 
 def check_compression_transpose(a, b, t: Truncation) -> VerificationReport:
-    """Certify that the compression of b is the exact transpose of that of a."""
-    ma = as_matrix(a).truncation(t)
-    mb = as_matrix(b).truncation(t)
-    if mb.shape != (ma.shape[1], ma.shape[0]):
+    """Certify that the compression of b is the exact transpose of that of a,
+    as maps of nonzero entries; a failure names the first mismatch, row-major."""
+    a, b = as_matrix(a), as_matrix(b)
+    n = t.n
+    if b.shape != a.shape[::-1]:
         return VerificationReport(
             "transpose", FAIL,
-            certificate={"n": t.n, "reason": "shape mismatch",
-                         "a_shape": list(ma.shape), "b_shape": list(mb.shape)})
-    mismatch = np.argwhere(mb != ma.T)
-    if mismatch.size:
-        i, j = (int(x) for x in mismatch[0])
+            certificate={"n": n, "reason": "shape mismatch",
+                         "a_shape": [m * n for m in a.shape],
+                         "b_shape": [m * n for m in b.shape]})
+    mb = b.compression(n)
+    ma_t = {(j, i): v for (i, j), v in a.compression(n).items()}
+    if mb != ma_t:
+        i, j = min(ij for ij in mb.keys() | ma_t.keys()
+                   if mb.get(ij, 0) != ma_t.get(ij, 0))
         return VerificationReport(
             "transpose", FAIL,
-            certificate={"n": t.n, "entry": [i, j],
-                         "b": mb[i, j], "a_t": ma.T[i, j]})
+            certificate={"n": n, "entry": [i, j],
+                         "b": mb.get((i, j), 0), "a_t": ma_t.get((i, j), 0)})
     return VerificationReport(
-        "transpose", PASS, certificate={"n": t.n, "exact": True,
-                                        "shape": list(mb.shape)})
+        "transpose", PASS,
+        certificate={"n": n, "exact": True, "shape": [m * n for m in b.shape]})
 
 
 # --- witness families ---------------------------------------------------------
@@ -400,90 +398,90 @@ def denseness_obstruction(d: DomainDescriptor) -> VerificationReport:
 
 # --- finite-dimensional core criterion ------------------------------------------
 
+def _rationals(rows) -> list[list[Fraction]]:
+    """Rows of exact rationals; a float is read as the rational it is."""
+    return [[Fraction(x) if isinstance(x, Rational) else Fraction(float(x))
+             for x in row] for row in rows]
+
+
+def _times_transpose(a, b) -> list[list[Fraction]]:
+    return [[sum((x * y for x, y in zip(ra, rb, strict=True)), Fraction(0)) for rb in b]
+            for ra in a]
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals: each row is reduced by the pivot rows kept so far."""
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for col, p in pivots:
+            factor = row[col] / p[col]
+            row = [x - factor * y for x, y in zip(row, p)]
+        nonzero = [col for col, x in enumerate(row) if x]
+        if nonzero:
+            pivots.append((nonzero[0], row))
+    return len(pivots)
+
+
 @dataclass(frozen=True)
 class SubspaceSpec:
     """Subspace of R^n given by a basis; rank-checked at use time."""
 
-    basis: tuple[tuple[float, ...], ...]
+    basis: tuple[tuple[Scalar, ...], ...]
     n: int
 
-    def matrix(self) -> np.ndarray:
-        mat = np.asarray(self.basis, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != self.n:
+    def matrix(self) -> list[list[Fraction]]:
+        rows = _rationals(self.basis)
+        if not rows or any(len(r) != self.n for r in rows):
             raise DegenerateInput("basis vectors must have length n")
-        return mat
+        return rows
 
 
-def _rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
-def _orthogonal_complement(rows: np.ndarray, n: int, tol: float) -> np.ndarray:
-    if rows.size == 0:
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return vh[rank:]
-
-
-def core_criterion(cmat: np.ndarray, d0: SubspaceSpec, d1: SubspaceSpec,
-                   tol: float = 1e-10) -> VerificationReport:
+def core_criterion(cmat, d0: SubspaceSpec, d1: SubspaceSpec) -> VerificationReport:
     """Finite-dimensional core test: does (I + C C^T)(D0) leave no room in D1?
 
     Passes when the orthogonal complement of W = (I + C C^T)(D0) meets D1
-    only in 0, decided by an SVD rank computation at the given relative
-    tolerance.  This is the compression of the infinite-dimensional core
+    only in 0, that is when rank(W B1^T) = dim D1, decided exactly over the
+    rationals.  This is the compression of the infinite-dimensional core
     criterion to R^n; no convergence claim is attached.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    cmat = np.asarray(cmat, dtype=float)
-    n = cmat.shape[0]
-    if cmat.shape != (n, n) or d0.n != n or d1.n != n:
+    cmat = _rationals(cmat)
+    n = len(cmat)
+    if any(len(r) != n for r in cmat) or d0.n != n or d1.n != n:
         raise DegenerateInput("matrix and subspaces must share one dimension")
     b0 = d0.matrix()
     b1 = d1.matrix()
-    if _rank(b0, tol) < b0.shape[0] or _rank(b1, tol) < b1.shape[0]:
+    if _rank(b0) < len(b0) or _rank(b1) < len(b1):
         raise DegenerateInput("a subspace basis is rank deficient")
 
-    gram = np.eye(n) + cmat @ cmat.T
-    w_rows = b0 @ gram.T
-    comp = _orthogonal_complement(w_rows, n, tol)
-    stacked = np.vstack([comp, b1]) if comp.size else b1
-    independent = _rank(stacked, tol) == comp.shape[0] + b1.shape[0]
-    cert = {
-        "dim_w_perp": int(comp.shape[0]),
-        "dim_d1": int(b1.shape[0]),
-        "intersection_trivial": bool(independent),
-    }
+    gram = _times_transpose(cmat, cmat)
+    for i in range(n):
+        gram[i][i] += 1
+    # I + C C^T is invertible, so W has the dimension of D0.
+    independent = _rank(_times_transpose(_times_transpose(b0, gram), b1)) == len(b1)
+    cert = {"dim_w_perp": n - len(b0), "dim_d1": len(b1),
+            "intersection_trivial": independent}
     return VerificationReport("core_criterion", PASS if independent else FAIL,
-                              certificate=cert, tolerance=tol)
+                              certificate=cert)
 
 
-def core_vector_hypothesis(kmat: np.ndarray, d0: SubspaceSpec,
-                           v0: Sequence[float], tol: float = 1e-10
+def core_vector_hypothesis(kmat, d0: SubspaceSpec, v0: Sequence[Scalar]
                            ) -> VerificationReport:
-    """Check a user-supplied v0 != 0 with (-K^T v0, v0) inside span(D0)."""
-    kmat = np.asarray(kmat, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if np.linalg.norm(v0) <= tol:
+    """Check a user-supplied v0 != 0 with (-K^T v0, v0) inside span(D0),
+    that is rank([B0; v]) = rank(B0), exactly."""
+    (v0,) = _rationals([v0])
+    if not any(v0):
         return VerificationReport("core_vector_hypothesis", FAIL,
-                                  certificate={"reason": "v0 is zero"}, tolerance=tol)
-    stacked_vec = np.concatenate([-kmat.T @ v0, v0])
+                                  certificate={"reason": "v0 is zero"})
+    (kt_v0,) = _times_transpose([v0], list(zip(*_rationals(kmat))))
+    stacked_vec = [-x for x in kt_v0] + v0
     b0 = d0.matrix()
-    if b0.shape[1] != stacked_vec.shape[0]:
+    if d0.n != len(stacked_vec):
         raise DegenerateInput("D0 must live in the doubled space")
-    residual = stacked_vec - b0.T @ np.linalg.lstsq(b0.T, stacked_vec, rcond=None)[0]
-    ok = np.linalg.norm(residual) <= tol * max(1.0, np.linalg.norm(stacked_vec))
+    rank_d0 = _rank(b0)
+    rank_with_v = _rank(b0 + [stacked_vec])
     return VerificationReport(
-        "core_vector_hypothesis", PASS if ok else FAIL,
-        certificate={"residual_norm": float(np.linalg.norm(residual))},
-        tolerance=tol)
+        "core_vector_hypothesis", PASS if rank_with_v == rank_d0 else FAIL,
+        certificate={"rank_d0": rank_d0, "rank_with_vector": rank_with_v})
 
 
 # --- strict domain gap -----------------------------------------------------------

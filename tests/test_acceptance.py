@@ -209,7 +209,7 @@ def test_criterion_07_core_criterion_matches_oracle():
 
         b0, b1 = basis(), basis()
         report = core_criterion(cmat, SubspaceSpec(tuple(map(tuple, b0)), n),
-                                SubspaceSpec(tuple(map(tuple, b1)), n), tol=tol)
+                                SubspaceSpec(tuple(map(tuple, b1)), n))
         w_rows = b0 @ (np.eye(n) + cmat @ cmat.T).T
         oracle_fail = oracles.subspaces_intersect_nontrivially(w_rows, b1, tol)
         if report.verdict != ("fail" if oracle_fail else "pass"):

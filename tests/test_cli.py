@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from opmx.cli import SuiteConfig, run_suite
+from opmx.cli import SuiteConfig, main, run_suite
 
 FAST = dict(truncations=(6,), samples=20, witness_nmax=2000)
 
@@ -202,3 +203,35 @@ def test_exit_two_without_traceback_on_unrepresentable_numbers(tmp_path, text):
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_expect_together_with_define_exits_two(tmp_path, capsys):
+    definition = tmp_path / "op.json"
+    definition.write_text(json.dumps({"diag": K2}))
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"user": {"pairing": "fail"}}))
+    code = main(["--define", str(definition), "--expect", str(expect)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--expect" in captured.err and "--define" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_gallery_output_is_byte_identical_to_the_recorded_run(capsys, monkeypatch):
+    # Recorded with `opmx --case all --truncation 4,64` at the default seed.  A
+    # change that alters certificate bytes on purpose regenerates the file and
+    # says so.
+    monkeypatch.delenv("OPMX_SEED", raising=False)
+    assert main(["--case", "all", "--truncation", "4,64"]) == 0
+    recorded = (Path(__file__).parent / "data" / "gallery_seed42.ndjson").read_bytes()
+    assert capsys.readouterr().out.encode() == recorded
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, opmx.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

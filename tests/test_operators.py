@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from opmx.domains import (
 )
 from opmx.errors import NotInDomain
 from opmx.gallery import (
+    GridDerivativePair,
+    _case_ii_matrix,
     collecting_unbounded_entry,
     shifted_diagonal,
     squared_diagonal,
@@ -25,6 +28,7 @@ from opmx.operators import (
     StructuredOperator,
     apply,
     apply_coordinate,
+    compression,
     domain_of,
     formal_adjoint_op,
     is_bounded,
@@ -154,6 +158,26 @@ def test_compression_adjoint_compatibility(n):
         a = truncation_matrix(op, t)
         b = truncation_matrix(formal_adjoint_op(op), t)
         assert (b == a.T).all()
+
+
+def test_dense_views_equal_their_entry_maps():
+    n = 5
+    t = Truncation(n)
+    views = [(truncation_matrix(op, t), compression(op, n)) for op in gallery_ops()]
+    mat = _case_ii_matrix()
+    views.append((mat.truncation(t), mat.compression(n)))
+    pair = GridDerivativePair(n)
+    views += [(pair.d0_matrix(), pair.d0_entries()), (pair.d1_matrix(), pair.d1_entries())]
+    for dense, entries in views:
+        assert dense.dtype == object
+        assert all(type(x) is Fraction for x in dense.flat)
+        assert all(v != 0 for v in entries.values())
+        nonzero = {(i, j): dense[i, j] for i, j in np.ndindex(*dense.shape)
+                   if dense[i, j] != 0}
+        assert nonzero == entries
+        assert all(dense.T[j, i] == v for (i, j), v in entries.items())
+        assert dense.astype(float).tolist() == [[float(x) for x in row]
+                                                for row in dense.tolist()]
 
 
 # --- boundedness -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from opmx.calculus import OpMatrix, matrix_formal_adjoint, row_adjoint
 from opmx.domains import DomainDescriptor, RationalWeight, WeightedL2, intersect
 from opmx.errors import DegenerateInput, DomainViolation, HypothesisViolated, NoValidSamples
 from opmx.gallery import (
+    _case_ii_matrix,
     collecting_unbounded_entry,
     e1_witness,
     family_corpus,
@@ -216,10 +217,34 @@ def test_core_criterion_agrees_with_nullspace_oracle():
     for _ in range(200):
         n, cmat, b0, b1 = _random_instance(rng)
         report = core_criterion(cmat, SubspaceSpec(tuple(map(tuple, b0)), n),
-                                SubspaceSpec(tuple(map(tuple, b1)), n), tol=tol)
+                                SubspaceSpec(tuple(map(tuple, b1)), n))
         w_rows = b0 @ (np.eye(n) + cmat @ cmat.T).T
         want_fail = oracles.subspaces_intersect_nontrivially(w_rows, b1, tol)
         assert report.verdict == ("fail" if want_fail else "pass")
+
+
+def test_core_criterion_is_exact_on_a_near_degenerate_basis():
+    # W = span{(1e-12, 1)} and D1 = span{(1, 0)}: W^perp is spanned by
+    # (1, -1e-12), which is not in D1.  A relative cut-off on singular values
+    # reads the product 1e-12 as zero and reports a gap that is not there.
+    d0 = SubspaceSpec(((1e-12, 1),), 2)
+    d1 = SubspaceSpec(((1, 0),), 2)
+    report = core_criterion([[0, 0], [0, 0]], d0, d1)
+    assert report.verdict == "pass"
+    assert report.certificate["intersection_trivial"] is True
+    assert report.tolerance is None
+
+
+def test_core_vector_hypothesis_on_fractions():
+    kmat = [[Fraction(1, 3), 0], [0, Fraction(2)]]
+    v0 = (Fraction(1, 7), 0)
+    inside = SubspaceSpec(((Fraction(-1, 21), 0, Fraction(1, 7), 0),), 4)
+    outside = SubspaceSpec(((Fraction(-1, 20), 0, Fraction(1, 7), 0),), 4)
+    assert core_vector_hypothesis(kmat, inside, v0).verdict == "pass"
+    assert core_vector_hypothesis(kmat, outside, v0).verdict == "fail"
+    report = core_vector_hypothesis(kmat, inside, (Fraction(0), Fraction(0)))
+    assert report.verdict == "fail"
+    assert report.certificate == {"reason": "v0 is zero"}
 
 
 def test_core_vector_hypothesis():
@@ -295,3 +320,22 @@ def test_transpose_check_passes_and_fails():
     bad = check_compression_transpose(op, op, Truncation(6))
     assert bad.verdict == "fail"
     assert "entry" in bad.certificate
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_transpose_failure_names_the_first_differing_entry(n):
+    mat = _case_ii_matrix()
+    grid = [list(row) for row in matrix_formal_adjoint(mat).grid]
+    grid[1][0] = grid[1][0] + StructuredOperator.identity()
+    report = check_compression_transpose(mat, OpMatrix(tuple(map(tuple, grid))),
+                                         Truncation(n))
+    assert report.verdict == "fail"
+    assert report.to_json()["certificate"] == {"n": n, "entry": [n, 0], "b": 1, "a_t": 0}
+
+
+def test_transpose_of_a_row_against_itself_is_a_shape_mismatch():
+    row = unbounded_pair_row()
+    report = check_compression_transpose(row, row, Truncation(5))
+    assert report.verdict == "fail"
+    assert report.certificate == {"n": 5, "reason": "shape mismatch",
+                                  "a_shape": [5, 10], "b_shape": [5, 10]}
