@@ -64,6 +64,15 @@ def _load_expectations(path: str) -> dict:
         raise InvalidDefinition(f"expect: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidDefinition("expect: expected an object of case -> check -> verdict")
+    for case_name, checks in data.items():
+        if case_name not in gallery.CASE_NAMES:
+            raise InvalidDefinition(f"expect: unknown case {case_name!r}")
+        if not isinstance(checks, dict):
+            raise InvalidDefinition(f"expect.{case_name}: expected an object")
+        known = {check for check, _ in gallery.build_case(case_name).expected}
+        for key in checks:
+            if key.split("@", 1)[0] not in known:
+                raise InvalidDefinition(f"expect.{case_name}: unknown check {key!r}")
     return data
 
 
@@ -107,10 +116,8 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     else:
         for name in _selected_cases(config):
             case = gallery.build_case(name)
-            per_case = overrides.get(case.name, {})
-            if not isinstance(per_case, dict):
-                raise InvalidDefinition(f"expect.{case.name}: expected an object")
-            tagged.extend((case.name, r) for r in case.run(params, per_case))
+            tagged.extend((case.name, r)
+                          for r in case.run(params, overrides.get(case.name)))
     tagged.sort(key=lambda cr: (cr[0], cr[1].check))
     out = []
     for case_name, rep in tagged:

@@ -52,7 +52,7 @@ from .calculus import (
     row_adjoint,
 )
 from .domains import RationalWeight
-from .errors import OpmxError, UnknownCase
+from .errors import InvalidDefinition, OpmxError, UnknownCase
 from .operators import Entries, StructuredOperator, dense, operator_to_json
 from .seqspace import (
     CoefficientFamily,
@@ -198,10 +198,16 @@ class GridDerivativePair:
     """First differences on an n-point grid with opposite boundary rows.
 
     ``d0`` differences with a zero value pinned on the left boundary,
-    ``d1`` with a zero value pinned on the right; d0^T = -d1 exactly.
+    ``d1`` with a zero value pinned on the right; d0^T = -d1 exactly.  The
+    apply methods scale by the integer 1/h = n + 1 and accept ``int`` or
+    ``Fraction`` vectors, returning the same kind.
     """
 
     n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("grid size must be >= 1")
 
     @property
     def h(self) -> Fraction:
@@ -225,32 +231,30 @@ class GridDerivativePair:
     def d1_matrix(self):
         return dense(self.d1_entries(), (self.n, self.n))
 
-    def apply_d0(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        inv = 1 / self.h
+    def apply_d0(self, vec: Sequence[int | Fraction]) -> list[int | Fraction]:
+        inv = self.n + 1
         return [(vec[i] - (vec[i - 1] if i > 0 else 0)) * inv for i in range(self.n)]
 
-    def apply_d1(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        inv = 1 / self.h
+    def apply_d1(self, vec: Sequence[int | Fraction]) -> list[int | Fraction]:
+        inv = self.n + 1
         return [((vec[i + 1] if i + 1 < self.n else 0) - vec[i]) * inv
                 for i in range(self.n)]
 
-    def apply_d0_t(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        inv = 1 / self.h
+    def apply_d0_t(self, vec: Sequence[int | Fraction]) -> list[int | Fraction]:
+        inv = self.n + 1
         return [(vec[i] - (vec[i + 1] if i + 1 < self.n else 0)) * inv
                 for i in range(self.n)]
 
-    def apply_d1_t(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        inv = 1 / self.h
+    def apply_d1_t(self, vec: Sequence[int | Fraction]) -> list[int | Fraction]:
+        inv = self.n + 1
         return [((vec[i - 1] if i > 0 else 0) - vec[i]) * inv for i in range(self.n)]
 
     def block_apply(self, f, g):
-        d1f = self.apply_d1(f)
-        d1g = self.apply_d1(g)
-        return self.apply_d0(f), [a - b for a, b in zip(d1f, d1g)]
+        return self.apply_d0(f), self.apply_d1([a - b for a, b in zip(f, g)])
 
     def block_apply_t(self, u, v):
-        top = [a + b for a, b in zip(self.apply_d0_t(u), self.apply_d1_t(v))]
-        return top, [-x for x in self.apply_d1_t(v)]
+        d1t_v = self.apply_d1_t(v)
+        return [a + b for a, b in zip(self.apply_d0_t(u), d1t_v)], [-x for x in d1t_v]
 
     def to_json(self) -> dict:
         enc = lambda mat: [[encode_scalar(x) for x in row] for row in mat.tolist()]
@@ -259,12 +263,17 @@ class GridDerivativePair:
                               "d1": enc(self.d1_matrix())}}
 
 
-def _random_grid_vector(rng: random.Random, n: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+GRID_DENOMINATOR = 2520  # lcm(1..9), a common denominator of every grid draw
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _random_grid_vector(rng: random.Random, n: int) -> list[int]:
+    """n draws p/q (|p| <= 9, 1 <= q <= 9), as numerators over GRID_DENOMINATOR."""
+    return [rng.randint(-9, 9) * (GRID_DENOMINATOR // rng.randint(1, 9))
+            for _ in range(n)]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 # --- case runners ------------------------------------------------------------------
@@ -341,7 +350,7 @@ def _run_case_iii(params: RunParams) -> list[VerificationReport]:
             f"second_row_kills_diagonal@{n}", PASS if zero_ok else FAIL,
             certificate={"n": n, "vectors": 50}))
 
-        residual = Fraction(0)
+        residual = 0
         for _ in range(min(params.samples, 100)):
             f, g, u, v = (_random_grid_vector(rng, n) for _ in range(4))
             a1, a2 = pair.block_apply(f, g)
@@ -349,6 +358,8 @@ def _run_case_iii(params: RunParams) -> list[VerificationReport]:
             residual = (_dot(a1, u) + _dot(a2, v)) - (_dot(f, b1) + _dot(g, b2))
             if residual:
                 break
+        # The pairing is bilinear, and every draw carries GRID_DENOMINATOR.
+        residual = Fraction(residual, GRID_DENOMINATOR ** 2)
         reports.append(VerificationReport(
             f"pairing@{n}", PASS if residual == 0 else FAIL,
             certificate={"n": n, "exact": True, "residual": residual}))
@@ -471,6 +482,8 @@ def build_case(name: str) -> GalleryCase:
         raise UnknownCase(f"unknown case {name!r}; known: {', '.join(CASE_NAMES)}")
     if m:
         sized = (int(m.group(1)),)
+        if sized[0] < 1:
+            raise InvalidDefinition(f"case {name!r}: grid size must be >= 1")
         case = replace(case, runner=lambda params: _run_case_iii(
             replace(params, truncations=sized)))
     return case

@@ -219,6 +219,41 @@ def test_expect_together_with_define_exits_two(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("expectations, named", [
+    ({"e1-row": {"witness": "fail"}}, "'e1-row'"),
+    ({"e1_row": {"witnes": "fail"}}, "'witnes'"),
+    ({"case_III_discrete": {"pairing@6": "pass", "pairng@6": "fail"}}, "'pairng@6'"),
+])
+def test_expect_with_an_unknown_key_exits_two(tmp_path, capsys, expectations, named):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps(expectations))
+    code = main(["--case", "e1_row,case_III_discrete", "--truncation", "6",
+                 "--witness-nmax", "2000", "--expect", str(expect)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
+def test_expect_with_known_keys_flips_match(tmp_path):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"e1_row": {"witness": "fail"},
+                                  "case_III_discrete": {"pairing@6": "fail"}}))
+    code, reports = run_suite(SuiteConfig(cases=("e1_row", "case_III_discrete"),
+                                          expect_path=str(expect), **FAST))
+    assert code == 1
+    flipped = {(r["case"], r["check"]) for r in reports if not r["match"]}
+    assert flipped == {("e1_row", "witness"), ("case_III_discrete", "pairing@6")}
+
+
+def test_sized_grid_case_below_one_exits_two():
+    result = _run_cli(["--case", "case_III_discrete(0)"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "case_III_discrete(0)" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_gallery_output_is_byte_identical_to_the_recorded_run(capsys, monkeypatch):
     # Recorded with `opmx --case all --truncation 4,64` at the default seed.  A
     # change that alters certificate bytes on purpose regenerates the file and

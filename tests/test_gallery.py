@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from opmx.errors import UnknownCase
+from opmx import gallery
+from opmx.errors import InvalidDefinition, UnknownCase
 from opmx.gallery import (
     CASE_NAMES,
     GridDerivativePair,
     RunParams,
+    _random_grid_vector,
+    _run_case_iii,
     build_case,
     family_corpus,
     list_cases,
@@ -98,6 +101,72 @@ def test_grid_matrix_free_matches_matrices():
     d1t = pair.d1_matrix().T
     want_t = [sum(d1t[i, j] * vec[j] for j in range(5)) for i in range(5)]
     assert pair.apply_d1_t(vec) == want_t
+
+
+def _fraction_draws(rng, n):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+def test_integer_grid_draws_are_the_fraction_draws_over_2520(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in (1, 7, 64):
+        assert [Fraction(x, 2520) for x in _random_grid_vector(rng, n)] == \
+            _fraction_draws(ref, n)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64])
+def test_grid_block_maps_on_integers_are_2520_times_the_fraction_maps(n):
+    pair = GridDerivativePair(n)
+    rng = random.Random(n)
+    ints = [_random_grid_vector(rng, n) for _ in range(2)]
+    fracs = [[Fraction(x, 2520) for x in vec] for vec in ints]
+    for method in (pair.block_apply, pair.block_apply_t):
+        got, want = method(*ints), method(*fracs)
+        for got_row, want_row in zip(got, want):
+            assert all(type(x) is int for x in got_row)
+            assert got_row == [2520 * x for x in want_row]
+
+
+class _SkewedGridPair(GridDerivativePair):
+    """d1^T with one wrong entry: row n-1 also picks up vec[0]."""
+
+    def apply_d1_t(self, vec):
+        out = super().apply_d1_t(vec)
+        out[-1] += vec[0]
+        return out
+
+
+def test_grid_pairing_failure_residual_matches_a_fraction_replay(monkeypatch):
+    n, seed = 6, 11
+    monkeypatch.setattr(gallery, "GridDerivativePair", _SkewedGridPair)
+    reports = _run_case_iii(RunParams(truncations=(n,), samples=30, seed=seed))
+    pairing = next(r for r in reports if r.check == f"pairing@{n}")
+    assert pairing.verdict == "fail"
+
+    # The same stream, drawn as Fractions: 50 second-row vectors, then pairs.
+    rng, pair = random.Random(seed), _SkewedGridPair(n)
+    dot = lambda x, y: sum((p * q for p, q in zip(x, y)), Fraction(0))
+    for _ in range(50):
+        _fraction_draws(rng, n)
+    for _ in range(30):
+        f, g, u, v = (_fraction_draws(rng, n) for _ in range(4))
+        a1, a2 = pair.block_apply(f, g)
+        b1, b2 = pair.block_apply_t(u, v)
+        residual = (dot(a1, u) + dot(a2, v)) - (dot(f, b1) + dot(g, b2))
+        if residual:
+            break
+    assert residual != 0
+    assert pairing.certificate["residual"] == residual
+    assert type(pairing.certificate["residual"]) is Fraction
+
+
+def test_grid_size_below_one_is_rejected():
+    with pytest.raises(ValueError):
+        GridDerivativePair(0)
+    with pytest.raises(InvalidDefinition):
+        build_case("case_III_discrete(0)")
 
 
 def test_case_iv_truncation_transpose_identity():
