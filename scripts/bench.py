@@ -5,21 +5,26 @@
 
 The parent is checked out into a temporary git worktree, removed again when
 the script ends.  The change is the repository's working tree as it stands.
-For each workload the script runs `--pairs` pairs of
+For each workload the script runs 10 pairs of
 
     opmxbench/run.py --workload W --seed S --seconds T --trace 0
 
-one run on each side, each side with its own checkout's run.py; the parent
-goes first in odd pairs, the change in even ones.  It refuses to run when the two `opmxbench/` trees
-differ, since the comparison is only fair with the same benchmark code.
+with T the `run_seconds` of BENCHMARK.json, one run on each side, each side
+with its own checkout's run.py; the parent goes first in odd pairs, the change
+in even ones.  It refuses to run when the two `opmxbench/` trees differ, since
+the comparison is only fair with the same benchmark code.
 
 It writes `BENCH_<label>.json` into the repository root: the machine, the
 Python version, and per workload and end-to-end metric both sides' runs,
 medians and quartiles, the pairs the change won (ties count for neither), and
-two verdicts.  `gain` holds when the change won at least 9 in 10 pairs and
+two verdicts.  `gain` holds when the change won at least 9 of the 10 pairs,
 the medians differ, in its favour, by more than the parent's interquartile
-range; `within_bound` holds when the change's median is no worse than the
-parent's by more than the metric's bound in BENCHMARK.json.  Nothing under
+range, and the change failed no more operations than the parent.  `verdict`
+is `unresolved` when either side's interquartile range, as a share of the
+parent's median, is wider than the metric's bound in BENCHMARK.json, unless
+every run of the change is better than every run of the parent; otherwise it
+is `within_bound` when the change's median is no worse than the parent's by
+more than that bound, and `out_of_bound` when it is.  Nothing under
 `opmxbench/` is edited; run.py writes its own result files into each
 checkout's `opmxbench/out/`.
 """
@@ -37,6 +42,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = "opmxbench"
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -72,17 +78,23 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(metric: dict, parent: list[float], change: list[float],
-              pairs: int) -> dict:
+              fails_more: bool) -> dict:
     sign = 1 if metric["better"] == "lower" else -1
     before, after = spread(parent), spread(change)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     gain = sign * (before["median"] - after["median"])
-    worse_by = -gain / before["median"] if before["median"] else 0.0
+    scale = abs(before["median"]) or 1.0
+    worse_by = -gain / scale
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    if max(before["iqr"], after["iqr"]) / scale > metric["bound"] and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound" if worse_by <= metric["bound"] else "out_of_bound"
     return {"unit": metric["unit"], "better": metric["better"],
             "parent": dict(before, runs=parent), "change": dict(after, runs=change),
-            "change_won": wins, "pairs": pairs,
-            "gain": 10 * wins >= 9 * pairs and gain > before["iqr"],
-            "within_bound": worse_by <= metric["bound"]}
+            "change_won": wins, "pairs": PAIRS,
+            "gain": 10 * wins >= 9 * PAIRS and gain > before["iqr"] and not fails_more,
+            "verdict": verdict}
 
 
 def main() -> int:
@@ -92,11 +104,8 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    seconds = spec["run_seconds"]
 
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     if not same_benchmark(parent):
@@ -111,23 +120,25 @@ def main() -> int:
         workloads = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(sides[side], workload, args.seed,
-                                               args.seconds))
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                                               seconds))
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                           f"{runs[side][-1]['metrics']['run_s']['value']:.3f} s run_s",
                           file=sys.stderr)
+            failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
             workloads[workload] = {
                 "correct": {side: all(r["correct"] for r in rs)
                             for side, rs in runs.items()},
-                "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                "failed": failed,
                 "attempted": {side: sum(r["attempted"] for r in rs)
                               for side, rs in runs.items()},
                 "metrics": {m["name"]: summarise(
                     m, [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
-                    [r["metrics"][m["name"]]["value"] for r in runs["change"]], args.pairs)
+                    [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+                    failed["change"] > failed["parent"])
                     for m in spec["end_to_end"]},
             }
     finally:
@@ -146,8 +157,8 @@ def main() -> int:
         "parent": parent,
         "change": {"head": head, "dirty": bool(git("status", "--porcelain"))},
         "command": f"{BENCH_DIR}/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "pairs": args.pairs,
+                   f"--seconds {seconds:g} --trace 0",
+        "pairs": PAIRS,
         "workloads": workloads,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

@@ -31,12 +31,12 @@ def test_run_suite_all_matches():
 
 def test_exit_one_on_tampered_expectations(tmp_path):
     expect = tmp_path / "expect.json"
-    expect.write_text(json.dumps({"case_IV": {"strict_gap": "fail"}}))
-    code, reports = run_suite(SuiteConfig(cases=("case_IV",),
-                                          expect_path=str(expect), **FAST))
-    assert code == 1
-    tampered = [r for r in reports if r["check"] == "strict_gap"]
-    assert tampered and not tampered[0]["match"]
+    for case, check in (("case_IV", "strict_gap"), ("case_III_discrete", "pairing@6")):
+        expect.write_text(json.dumps({case: {check: "fail"}}))
+        code, reports = run_suite(SuiteConfig(cases=(case,),
+                                              expect_path=str(expect), **FAST))
+        assert code == 1
+        assert [r["check"] for r in reports if not r["match"]] == [check]
 
 
 def test_exit_two_on_malformed_definition(tmp_path):
@@ -233,17 +233,6 @@ def test_expect_with_an_unknown_key_exits_two(tmp_path, capsys, expectations, na
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and named in captured.err
-
-
-def test_expect_with_known_keys_flips_match(tmp_path):
-    expect = tmp_path / "expect.json"
-    expect.write_text(json.dumps({"e1_row": {"witness": "fail"},
-                                  "case_III_discrete": {"pairing@6": "fail"}}))
-    code, reports = run_suite(SuiteConfig(cases=("e1_row", "case_III_discrete"),
-                                          expect_path=str(expect), **FAST))
-    assert code == 1
-    flipped = {(r["case"], r["check"]) for r in reports if not r["match"]}
-    assert flipped == {("e1_row", "witness"), ("case_III_discrete", "pairing@6")}
 
 
 def test_sized_grid_case_below_one_exits_two():
