@@ -3,16 +3,20 @@
 
     python3 scripts/bench.py --parent HEAD~1 --label grid_integer --seed 7
 
-The parent is checked out into a temporary git worktree, removed again when
-the script ends.  The change is the repository's working tree as it stands.
-For each workload the script runs 10 pairs of
+The parent's files are extracted with `git archive` into a temporary
+directory, removed again when the script ends.  The change is the repository's
+working tree as it stands.  For each workload the script runs 10 pairs of
 
     opmxbench/run.py --workload W --seed S --seconds T --trace 0
 
 with T the `run_seconds` of BENCHMARK.json, one run on each side, each side
 with its own checkout's run.py; the parent goes first in odd pairs, the change
 in even ones.  It refuses to run when the two `opmxbench/` trees differ, since
-the comparison is only fair with the same benchmark code.
+the comparison is only fair with the same benchmark code.  Then, in 10 more
+pairs alternated the same way, each side runs the timed acceptance criteria 1,
+2 and 10 (`pytest -s tests/test_acceptance.py`) and records each elapsed time
+the test prints as a fraction of the test's bound; a gate that fails records
+null.
 
 It writes `BENCH_<label>.json` into the repository root: the machine, the
 Python version, and per workload and end-to-end metric both sides' runs,
@@ -24,25 +28,33 @@ is `unresolved` when either side's interquartile range, as a share of the
 parent's median, is wider than the metric's bound in BENCHMARK.json, unless
 every run of the change is better than every run of the parent; otherwise it
 is `within_bound` when the change's median is no worse than the parent's by
-more than that bound, and `out_of_bound` when it is.  Nothing under
+more than that bound, and `out_of_bound` when it is.  Under `gates` it writes
+both sides' fractions of each bound, their medians and quartiles, and the
+pairs the change won.  Nothing under
 `opmxbench/` is edited; run.py writes its own result files into each
 checkout's `opmxbench/out/`.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = "opmxbench"
 PAIRS = 10
+# The timed acceptance criteria and the bounds their tests assert, in seconds.
+GATES = {"01": 1.0, "02": 5.0, "10": 60.0}
+GATE_LINE = re.compile(r"ACCEPTANCE (\d+): PASS .*?([\d.]+)s[,)]")
 
 
 def git(*args: str) -> str:
@@ -72,6 +84,34 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def run_gates(checkout: str) -> dict:
+    """Criteria 1, 2 and 10 in one pytest run: each printed elapsed time as a
+    fraction of its bound, None for a gate that did not pass."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+           "tests/test_acceptance.py", "-k",
+           " or ".join(f"test_criterion_{g}_" for g in GATES)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    fractions = dict.fromkeys(GATES)
+    for line in proc.stdout.splitlines():
+        m = GATE_LINE.search(line)
+        gate = m and m.group(1).zfill(2)
+        if gate in GATES:
+            fractions[gate] = float(m.group(2)) / GATES[gate]
+    return fractions
+
+
+def alternate(label: str, run, show) -> dict[str, list]:
+    """PAIRS pairs of run(side), the parent first in odd pairs."""
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(side))
+            print(f"{label} pair {i + 1}/{PAIRS} {side}: {show(runs[side][-1])}",
+                  file=sys.stderr)
+    return runs
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -97,6 +137,17 @@ def summarise(metric: dict, parent: list[float], change: list[float],
             "verdict": verdict}
 
 
+def summarise_gate(bound: float, parent: list, change: list) -> dict:
+    def side(runs):
+        passed = [r for r in runs if r is not None]
+        return dict(spread(passed) if len(passed) > 1 else {}, runs=runs,
+                    failed=len(runs) - len(passed))
+
+    won = sum(p is not None and c is not None and c < p for p, c in zip(parent, change))
+    return {"bound_s": bound, "unit": "fraction of bound", "parent": side(parent),
+            "change": side(change), "change_won": won, "pairs": PAIRS}
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -115,19 +166,16 @@ def main() -> int:
     scratch = tempfile.mkdtemp(prefix="opmx-bench-")
     parent_tree = os.path.join(scratch, "parent")
     try:
-        git("worktree", "add", "--detach", parent_tree, parent)
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
         workloads = {}
         for workload in (w["name"] for w in spec["workloads"]):
-            runs = {"parent": [], "change": []}
-            for i in range(PAIRS):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed,
-                                               seconds))
-                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
-                          f"{runs[side][-1]['metrics']['run_s']['value']:.3f} s run_s",
-                          file=sys.stderr)
+            runs = alternate(
+                workload, lambda side: run_once(sides[side], workload, args.seed, seconds),
+                lambda r: f"{r['metrics']['run_s']['value']:.3f} s run_s")
             failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
             workloads[workload] = {
                 "correct": {side: all(r["correct"] for r in rs)
@@ -141,10 +189,11 @@ def main() -> int:
                     failed["change"] > failed["parent"])
                     for m in spec["end_to_end"]},
             }
+        gate_runs = alternate("gates", lambda side: run_gates(sides[side]), str)
+        gates = {f"criterion_{g}": summarise_gate(
+            bound, [r[g] for r in gate_runs["parent"]],
+            [r[g] for r in gate_runs["change"]]) for g, bound in GATES.items()}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent_tree], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
     head = git("rev-parse", "HEAD")
@@ -160,6 +209,7 @@ def main() -> int:
                    f"--seconds {seconds:g} --trace 0",
         "pairs": PAIRS,
         "workloads": workloads,
+        "gates": gates,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -54,7 +54,9 @@ def _selected_cases(config: SuiteConfig) -> list[str]:
     return list(config.cases)
 
 
-def _load_expectations(path: str) -> dict:
+def _load_expectations(path: str, sizes: dict[str, set[int]]) -> dict:
+    """Expected-verdict overrides, case -> check -> verdict.  A key ``check@N``
+    must name a size in ``sizes[case]``, the sizes the run uses for the case."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -70,9 +72,15 @@ def _load_expectations(path: str) -> dict:
         if not isinstance(checks, dict):
             raise InvalidDefinition(f"expect.{case_name}: expected an object")
         known = {check for check, _ in gallery.build_case(case_name).expected}
+        run_at = {str(n) for n in sizes.get(case_name, ())}
         for key in checks:
-            if key.split("@", 1)[0] not in known:
+            check, at, size = key.partition("@")
+            if check not in known:
                 raise InvalidDefinition(f"expect.{case_name}: unknown check {key!r}")
+            if at and size not in run_at:
+                raise InvalidDefinition(
+                    f"expect.{case_name}: check {key!r} names a size this run does "
+                    f"not use (sizes: {', '.join(sorted(run_at, key=int)) or 'none'})")
     return data
 
 
@@ -106,18 +114,21 @@ def _define_reports(path: str, params: gallery.RunParams) -> list[VerificationRe
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured checks; returns (exit_code, report objects)."""
     config.validate()
-    overrides = _load_expectations(config.expect_path) if config.expect_path else {}
+    cases = [] if config.define_path else [gallery.build_case(name)
+                                           for name in _selected_cases(config)]
+    sizes: dict[str, set[int]] = {}
+    for case in cases:
+        sizes.setdefault(case.name, set()).update(case.sizes or config.truncations)
+    overrides = (_load_expectations(config.expect_path, sizes)
+                 if config.expect_path else {})
     params = gallery.RunParams(truncations=tuple(config.truncations),
                                samples=config.samples, seed=config.seed,
                                witness_nmax=config.witness_nmax)
     tagged: list[tuple[str, VerificationReport]] = []
     if config.define_path:
         tagged.extend(("user", r) for r in _define_reports(config.define_path, params))
-    else:
-        for name in _selected_cases(config):
-            case = gallery.build_case(name)
-            tagged.extend((case.name, r)
-                          for r in case.run(params, overrides.get(case.name)))
+    for case in cases:
+        tagged.extend((case.name, r) for r in case.run(params, overrides.get(case.name)))
     tagged.sort(key=lambda cr: (cr[0], cr[1].check))
     out = []
     for case_name, rep in tagged:

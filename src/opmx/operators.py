@@ -123,6 +123,8 @@ class AppliedVector:
     tails: tuple[tuple[RationalWeight, Scalar], ...] = ()
 
     def __post_init__(self):
+        if not self.tails:
+            return
         merged: list[tuple[RationalWeight, Scalar]] = []
         for w, a in self.tails:
             if a == 0 or w.is_zero:
@@ -232,16 +234,25 @@ def apply(op: StructuredOperator, f: CoefficientFamily | SparseVector) -> Applie
     if isinstance(f, SparseVector):
         f = FiniteSupport(f)
     _check_membership(op, f)
+    if op.is_zero_op:
+        return AppliedVector()
     sv = f.collapse()
     if sv is None:
-        if op.sinks or not op.is_diagonal:
+        if not op.is_diagonal:
             raise UnsupportedOperand(
                 "closed-form image of an infinite family needs a diagonal operator; "
                 "use apply_coordinate for pointwise values")
-        if op.diag.is_zero:
-            return AppliedVector()
         raise UnsupportedOperand(
             "diagonal image of an infinite family is outside the representation")
+    if op.is_diagonal:
+        # Support order is index order, and a zero product is dropped.
+        diag = op.diag.eval
+        image = []
+        for k, v in sv.entries:
+            x = diag(k) * v
+            if x != 0:
+                image.append((k, x))
+        return AppliedVector(SparseVector._canonical(tuple(image)))
     finite_entries = [(k, op.diag.eval(k) * v) for k, v in sv.entries]
     for j, w in op.sinks:
         series = sum((w.eval(k) * v for k, v in sv.entries), 0)

@@ -32,7 +32,13 @@ def _canonical_entries(entries) -> tuple[tuple[int, Scalar], ...]:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Finitely supported vector, canonical: sorted indices, no zeros."""
+    """Finitely supported vector, canonical by construction: sorted indices,
+    no zero values.
+
+    ``SparseVector(entries)`` sorts the entries and sums duplicates.
+    ``_canonical`` stores entries as given and is only for entries that are
+    already canonical; the arithmetic below keeps them so.
+    """
 
     entries: tuple[tuple[int, Scalar], ...] = ()
 
@@ -40,8 +46,19 @@ class SparseVector:
         object.__setattr__(self, "entries", _canonical_entries(self.entries))
 
     @classmethod
+    def _canonical(cls, entries: tuple[tuple[int, Scalar], ...]) -> "SparseVector":
+        """Wrap entries with strictly increasing int indices >= 0 and no zero
+        value, without checking them."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", entries)
+        return v
+
+    @classmethod
     def unit(cls, k: int) -> "SparseVector":
-        return cls(((k, 1),))
+        k = int(k)
+        if k < 0:
+            raise ValueError(f"negative index {k}")
+        return cls._canonical(((k, 1),))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -58,17 +75,37 @@ class SparseVector:
         return 0
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
-        if not self.entries:
+        a, b = self.entries, other.entries
+        if not a:
             return other
-        if not other.entries:
+        if not b:
             return self
-        return SparseVector(self.entries + other.entries)
+        # Merge the two sorted supports; a shared index keeps a nonzero sum.
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ka, kb = a[i][0], b[j][0]
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
+            else:
+                v = a[i][1] + b[j][1]
+                if v != 0:
+                    out.append((ka, v))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return SparseVector._canonical(tuple(out))
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + (-other)
 
     def __neg__(self) -> "SparseVector":
-        return SparseVector(tuple((k, -v) for k, v in self.entries))
+        return SparseVector._canonical(tuple((k, -v) for k, v in self.entries))
 
     def scale(self, a: Scalar) -> "SparseVector":
         if a == 0:

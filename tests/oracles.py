@@ -2,7 +2,8 @@
 
 These deliberately avoid the symbolic degree rules in the package: series
 behaviour is judged from float partial sums, subspace intersections from a
-direct null-space computation.
+direct null-space computation.  ``is_canonical`` states the SparseVector
+invariant entry by entry, apart from the constructor that keeps it.
 """
 
 from __future__ import annotations
@@ -67,3 +68,11 @@ def subspaces_intersect_nontrivially(w_rows: np.ndarray, d1_rows: np.ndarray,
     scale = max(s[0], 1.0) if s.size else 1.0
     rank = int(np.sum(s > tol * scale))
     return rank < d1_rows.shape[0]
+
+
+def is_canonical(v) -> bool:
+    """Strictly increasing int indices >= 0 and no zero value."""
+    indices = [k for k, _ in v.entries]
+    return (all(type(k) is int and k >= 0 for k in indices)
+            and all(a < b for a, b in zip(indices, indices[1:]))
+            and all(x != 0 for _, x in v.entries))

@@ -235,6 +235,29 @@ def test_expect_with_an_unknown_key_exits_two(tmp_path, capsys, expectations, na
     assert captured.err.startswith("error:") and named in captured.err
 
 
+def test_expect_with_a_size_the_run_does_not_use_exits_two(tmp_path, capsys):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"case_III_discrete": {"pairing@7": "fail"}}))
+    code = main(["--case", "case_III_discrete", "--truncation", "4",
+                 "--expect", str(expect)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'pairing@7'" in captured.err
+
+
+def test_expect_accepts_every_size_the_run_uses(tmp_path):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"case_III_discrete": {
+        "pairing@4": "pass", "grid_transpose@8": "fail"}}))
+    code, reports = run_suite(SuiteConfig(
+        cases=("case_III_discrete", "case_III_discrete(8)"), truncations=(4,),
+        samples=5, expect_path=str(expect)))
+    assert code == 1
+    assert [r["check"] for r in reports if not r["match"]] == ["grid_transpose@8"]
+    assert any(r["check"] == "pairing@4" and r["match"] for r in reports)
+
+
 def test_sized_grid_case_below_one_exits_two():
     result = _run_cli(["--case", "case_III_discrete(0)"])
     assert result.returncode == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from opmx import gallery
+from opmx.cli import SuiteConfig, run_suite
 from opmx.errors import InvalidDefinition, UnknownCase
 from opmx.gallery import (
     CASE_NAMES,
@@ -17,6 +18,7 @@ from opmx.gallery import (
     list_cases,
 )
 from opmx.seqspace import Truncation
+from opmx.verify import check_strict_gap
 
 SMALL = RunParams(truncations=(8,), samples=40, witness_nmax=2000)
 
@@ -190,3 +192,33 @@ def test_exports_have_replayable_shapes():
 def test_family_corpus_is_diverse():
     kinds = {type(f).__name__ for f in family_corpus()}
     assert {"FiniteSupport", "PowerLaw", "Scaled", "Sum"} <= kinds
+
+
+def test_suite_runs_the_shared_strict_gap_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_strict_gap(*args, **kwargs)
+
+    monkeypatch.setattr(gallery, "check_strict_gap", counting)
+    code, reports = run_suite(SuiteConfig(truncations=(6,), samples=20,
+                                          witness_nmax=2000))
+    assert code == 0
+    assert len(calls) == 1
+    assert [r["case"] for r in reports if r["check"] == "strict_gap"] == ["case_IV",
+                                                                          "t1591"]
+
+
+def test_shared_strict_gap_reports_are_separate_objects():
+    params = RunParams(truncations=(4,), samples=10)
+    first, second = ([r for r in build_case(name).run(params) if r.check == "strict_gap"]
+                     for name in ("case_IV", "t1591"))
+    (a,), (b,) = first, second
+    assert a is not b and a.certificate is not b.certificate
+    assert a.to_json() == b.to_json()
+    a.check = "renamed"
+    a.with_expected("fail")
+    a.certificate["extra"] = 1
+    assert b.check == "strict_gap" and b.expected == "pass" and b.match
+    assert "extra" not in b.certificate

@@ -25,6 +25,7 @@ from opmx.gallery import (
     summing_functional,
 )
 from opmx.operators import (
+    AppliedVector,
     StructuredOperator,
     apply,
     apply_coordinate,
@@ -37,6 +38,8 @@ from opmx.operators import (
     truncation_matrix,
 )
 from opmx.seqspace import FiniteSupport, SparseVector, Truncation
+
+import oracles
 
 e = SparseVector.unit
 
@@ -85,6 +88,78 @@ def test_apply_coordinate_matches_apply():
     full = apply(op, f)
     for k in range(8):
         assert apply_coordinate(op, f, k) == full.coordinate(k)
+
+
+def _reference_apply(op, sv):
+    """The image written out term by term, canonicalised by the public
+    SparseVector constructor."""
+    entries = [(k, op.diag.eval(k) * v) for k, v in sv.entries]
+    entries += [(j, sum(w.eval(k) * v for k, v in sv.entries)) for j, w in op.sinks]
+    tails = tuple((w, sv.get(j)) for j, w in op.sources)
+    return AppliedVector(SparseVector(tuple(entries)), tails)
+
+
+def test_apply_drops_a_diagonal_that_vanishes_on_the_support():
+    op = StructuredOperator.diagonal(RationalWeight.poly(0, -3, 1))  # k(k - 3)
+    sv = SparseVector(((0, 5), (1, Fraction(1, 2)), (3, -7), (5, 2)))
+    out = apply(op, sv)
+    assert out.finite.entries == ((1, -1), (5, 20))
+    assert out.tails == ()
+    assert out == _reference_apply(op, sv)
+    assert oracles.is_canonical(out.finite)
+
+
+def test_apply_sinks_landing_on_support_coordinates():
+    op = StructuredOperator(RationalWeight.poly(1, 1),
+                            sinks=((0, W_LIN), (3, RationalWeight.constant(-1))))
+    sv = SparseVector(((0, 2), (3, Fraction(1, 3)), (4, -1)))
+    out = apply(op, sv)
+    # coordinate 0: 1 * 2 + (3 * 1/3 + 4 * -1); coordinate 3: 4 * 1/3 - (2 + 1/3 - 1)
+    assert out.finite == SparseVector(((0, -1), (3, 0), (4, -5)))
+    assert out == _reference_apply(op, sv)
+    assert oracles.is_canonical(out.finite)
+
+
+def test_apply_sources_become_tails():
+    w = RationalWeight.ratio([1], [1, 1])
+    op = StructuredOperator(W_LIN, sources=((2, w), (7, W_SQ)))
+    sv = SparseVector(((1, 3), (2, Fraction(-1, 2))))
+    out = apply(op, sv)
+    assert out.finite == SparseVector(((1, 3), (2, -1)))
+    assert out.tails == ((w, Fraction(-1, 2)),)
+    assert out == _reference_apply(op, sv)
+
+
+def test_apply_zero_operator_gives_the_empty_image():
+    sv = SparseVector(((0, 1), (4, Fraction(2, 3))))
+    out = apply(StructuredOperator.zero(), sv)
+    assert out.finite.entries == () and out.tails == ()
+    assert out == _reference_apply(StructuredOperator.zero(), sv)
+
+
+APPLY_OPS = [*gallery_ops(),
+             StructuredOperator.diagonal(RationalWeight.poly(0, -3, 1)),
+             StructuredOperator(RationalWeight.poly(1, 1),
+                                sinks=((0, W_LIN), (3, RationalWeight.constant(-1)))),
+             StructuredOperator(RationalWeight.constant(0), sinks=((2, W_SQ),),
+                                sources=((1, RationalWeight.ratio([1], [1, 1])),))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(APPLY_OPS),
+       st.lists(st.tuples(st.integers(0, 6),
+                          st.one_of(st.integers(-4, 4),
+                                    st.fractions(-4, 4, max_denominator=5))),
+                max_size=6))
+def test_apply_equals_the_reference_image(op, raw):
+    sv = SparseVector(tuple(raw))
+    if member(FiniteSupport(sv), domain_of(op)) is not Verdict.YES:
+        with pytest.raises(NotInDomain):
+            apply(op, sv)
+        return
+    out = apply(op, sv)
+    assert out == _reference_apply(op, sv)
+    assert oracles.is_canonical(out.finite)
 
 
 # --- formal adjoint ---------------------------------------------------------------

@@ -22,6 +22,8 @@ from opmx.seqspace import (
     unit_family,
 )
 
+import oracles
+
 e = SparseVector.unit
 
 
@@ -144,3 +146,49 @@ def test_family_json_rational_scalars_survive():
     encoded = family_to_json(f)
     assert encoded["entries"] == [[1, "1/3"]]
     assert family_from_json(encoded) == f
+
+
+# --- canonical by construction ------------------------------------------------
+
+kernel_scalars = st.one_of(st.integers(-5, 5),
+                           st.fractions(-5, 5, max_denominator=6),
+                           st.floats(-5, 5, allow_nan=False))
+raw_entries = st.lists(st.tuples(st.integers(0, 8), kernel_scalars), max_size=10)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors with shared indices, v cancelling some of u's entries."""
+    u = SparseVector(tuple(draw(raw_entries)))
+    cancel = draw(st.lists(st.sampled_from(u.entries), unique=True)) if u.entries else []
+    v = SparseVector(tuple((k, -x) for k, x in cancel) + tuple(draw(raw_entries)))
+    return u, v
+
+
+@given(vector_pairs())
+def test_arithmetic_equals_the_public_constructor(pair):
+    u, v = pair
+    negated = tuple((k, -x) for k, x in v.entries)
+    for got, want in ((u + v, SparseVector(u.entries + v.entries)),
+                      (u - v, SparseVector(u.entries + negated)),
+                      (-v, SparseVector(negated))):
+        assert got == want
+        assert oracles.is_canonical(got)
+
+
+@given(vector_pairs())
+def test_cancelling_sum_is_canonical(pair):
+    u, _ = pair
+    assert (u - u).entries == ()
+    assert (u + (-u)).is_zero
+
+
+@given(st.integers(0, 10**6))
+def test_unit_equals_the_public_constructor(k):
+    assert e(k) == SparseVector(((k, 1),))
+    assert oracles.is_canonical(e(k))
+
+
+def test_unit_rejects_a_negative_index():
+    with pytest.raises(ValueError):
+        e(-1)
