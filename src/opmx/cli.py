@@ -54,9 +54,8 @@ def _selected_cases(config: SuiteConfig) -> list[str]:
     return list(config.cases)
 
 
-def _load_expectations(path: str, sizes: dict[str, set[int]]) -> dict:
-    """Expected-verdict overrides, case -> check -> verdict.  A key ``check@N``
-    must name a size in ``sizes[case]``, the sizes the run uses for the case."""
+def _load_expectations(path: str) -> dict:
+    """Expected-verdict overrides, case -> check -> verdict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -71,16 +70,6 @@ def _load_expectations(path: str, sizes: dict[str, set[int]]) -> dict:
             raise InvalidDefinition(f"expect: unknown case {case_name!r}")
         if not isinstance(checks, dict):
             raise InvalidDefinition(f"expect.{case_name}: expected an object")
-        known = {check for check, _ in gallery.build_case(case_name).expected}
-        run_at = {str(n) for n in sizes.get(case_name, ())}
-        for key in checks:
-            check, at, size = key.partition("@")
-            if check not in known:
-                raise InvalidDefinition(f"expect.{case_name}: unknown check {key!r}")
-            if at and size not in run_at:
-                raise InvalidDefinition(
-                    f"expect.{case_name}: check {key!r} names a size this run does "
-                    f"not use (sizes: {', '.join(sorted(run_at, key=int)) or 'none'})")
     return data
 
 
@@ -116,11 +105,7 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     config.validate()
     cases = [] if config.define_path else [gallery.build_case(name)
                                            for name in _selected_cases(config)]
-    sizes: dict[str, set[int]] = {}
-    for case in cases:
-        sizes.setdefault(case.name, set()).update(case.sizes or config.truncations)
-    overrides = (_load_expectations(config.expect_path, sizes)
-                 if config.expect_path else {})
+    overrides = _load_expectations(config.expect_path) if config.expect_path else {}
     params = gallery.RunParams(truncations=tuple(config.truncations),
                                samples=config.samples, seed=config.seed,
                                witness_nmax=config.witness_nmax)
@@ -129,6 +114,14 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
         tagged.extend(("user", r) for r in _define_reports(config.define_path, params))
     for case in cases:
         tagged.extend((case.name, r) for r in case.run(params, overrides.get(case.name)))
+    # Every override key must name a report of this run, in full or by the
+    # name before its '@'.
+    names = {(c, n) for c, r in tagged for n in (r.check, r.check.split("@", 1)[0])}
+    for case_name, checks in overrides.items():
+        for key in checks:
+            if (case_name, key) not in names:
+                raise InvalidDefinition(
+                    f"expect.{case_name}: check {key!r} matches no report of this run")
     tagged.sort(key=lambda cr: (cr[0], cr[1].check))
     out = []
     for case_name, rep in tagged:

@@ -21,6 +21,11 @@ summable by the weighted rule and every source column that multiplies a
 nonzero coordinate must itself be an l2 sequence.  Cancellation between the
 diagonal and a source column is deliberately not modelled.
 
+Normalization keeps only the non-l2 source columns of a ResidualL2 atom, so
+a finitely supported vector is a member exactly when its support avoids
+``excluded_coordinates``: the pinned coordinates and those source columns.
+Every forced coordinate is one of them.
+
 Weights, descriptors and the operators built on them are immutable, so
 derived structure is computed once per value and stored on it (``cached``):
 forced and excluded coordinates per descriptor here, the natural domain per
@@ -529,16 +534,12 @@ def member(f: CoefficientFamily, d: DomainDescriptor) -> Verdict:
     """Three-valued membership of the family in the described domain."""
     sv = f.collapse()
     if sv is not None:
-        # Finitely supported vectors satisfy every weighted and series
-        # condition; only residual source columns and pinned coordinates bite.
-        for a in d.atoms:
-            if isinstance(a, CoordinateZero):
-                if sv.get(a.coord) != 0:
-                    return Verdict.NO
-            elif isinstance(a, ResidualL2):
-                for j, w in a.sources:
-                    if not w.is_ell2 and sv.get(j) != 0:
-                        return Verdict.NO
+        # Read the cache directly: under per-layer tracing, a call per vector
+        # would charge every membership test to `excluded_coordinates`.
+        excluded = cached(d, "_excluded", _excluded_coordinates)
+        for k, _ in sv.entries:
+            if k in excluded:
+                return Verdict.NO
         return Verdict.YES
     verdicts = [_ambient_l2_verdict(f)]
     verdicts.extend(atom_verdict(f, a) for a in d.atoms)
@@ -597,45 +598,32 @@ def _forced_coordinates(d: DomainDescriptor) -> frozenset[int]:
             if len(bad) == 1:
                 forced.add(bad[0])
 
+    # Normalized, every weight here is nonzero and every source column non-l2.
     for diag, sources in residuals:
-        if not sources:
-            continue
-        dominated = diag.is_zero or any(
-            deg is not None and deg >= diag.degree for deg in weighted_degrees)
-        if dominated:
-            forced.update(c for c, w in sources.items() if not w.is_ell2)
+        if sources and any(deg >= diag.degree for deg in weighted_degrees):
+            forced.update(sources)
 
     return frozenset(forced)
 
 
 def admits_all_finitely_supported(d: DomainDescriptor) -> bool:
-    """True when every finitely supported vector is a member.
-
-    Weighted and series atoms admit all finite sums; a residual atom rejects
-    the basis vectors of its non-l2 source columns, and a CoordinateZero atom
-    rejects its own basis vector.
-    """
-    for atom in d.atoms:
-        if isinstance(atom, CoordinateZero):
-            return False
-        if isinstance(atom, ResidualL2):
-            if any(not w.is_ell2 for _, w in atom.sources):
-                return False
-    return True
+    """True when every finitely supported vector is a member."""
+    return not excluded_coordinates(d)
 
 
 def excluded_coordinates(d: DomainDescriptor) -> frozenset[int]:
-    """Coordinates a finitely supported member must avoid."""
+    """The coordinates a finitely supported vector must avoid to be a member:
+    the pinned coordinates and the source columns of the residual atoms."""
     return cached(d, "_excluded", _excluded_coordinates)
 
 
 def _excluded_coordinates(d: DomainDescriptor) -> frozenset[int]:
-    out = set(forced_coordinates(d))
+    out: set[int] = set()
     for atom in d.atoms:
-        if isinstance(atom, ResidualL2):
-            out.update(j for j, w in atom.sources if not w.is_ell2)
         if isinstance(atom, CoordinateZero):
             out.add(atom.coord)
+        elif isinstance(atom, ResidualL2):
+            out.update(j for j, _ in atom.sources)
     return frozenset(out)
 
 

@@ -282,3 +282,46 @@ def test_importing_the_cli_does_not_load_numpy():
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_expect_with_a_size_on_an_unsized_check_exits_two(tmp_path, capsys):
+    # e1_row reports a plain `pairing`; only its transpose carries a size.
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"e1_row": {"pairing@4": "fail"}}))
+    code = main(["--case", "e1_row", "--truncation", "4", "--witness-nmax", "2000",
+                 "--expect", str(expect)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'pairing@4'" in captured.err
+
+
+def test_expect_for_a_case_the_run_does_not_select_exits_two(tmp_path, capsys):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps({"case_IV": {"strict_gap": "pass"}}))
+    code = main(["--case", "e1_row", "--truncation", "4", "--witness-nmax", "2000",
+                 "--expect", str(expect)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'strict_gap'" in captured.err
+
+
+def test_define_output_is_byte_identical_to_the_recorded_run(tmp_path, monkeypatch):
+    # One line per definition of the benchmark corpus at seed 1, round 0: the
+    # definition, the exit code and the reports of `opmx --define` at
+    # truncations 4,8 with 200 samples and the default seed.  The definitions
+    # are stored here so the test does not depend on the benchmark's files.
+    monkeypatch.delenv("OPMX_SEED", raising=False)
+    recorded = (Path(__file__).parent / "data" / "define_corpus_seed1.ndjson").read_text()
+    lines = recorded.splitlines()
+    assert len(lines) == 16
+    path = tmp_path / "definition.json"
+    for line in lines:
+        definition = json.loads(line)["definition"]
+        path.write_text(json.dumps(definition))
+        code, reports = run_suite(SuiteConfig(define_path=str(path), truncations=(4, 8),
+                                              samples=200))
+        replayed = json.dumps({"definition": definition, "exit": code, "reports": reports},
+                              sort_keys=True, separators=(",", ":"))
+        assert replayed == line

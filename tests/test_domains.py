@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -17,13 +18,25 @@ from opmx.domains import (
     Verdict,
     WeightedL2,
     admits_all_finitely_supported,
+    atom_verdict,
+    conjunction,
     excluded_coordinates,
     forced_coordinates,
     intersect,
     member,
 )
 from opmx.gallery import family_corpus
-from opmx.seqspace import ALTERNATING, PowerLaw, Scaled, Sum, eval_family, unit_family
+from opmx.seqspace import (
+    ALTERNATING,
+    FiniteSupport,
+    PowerLaw,
+    Scaled,
+    SparseVector,
+    Sum,
+    eval_family,
+    unit_family,
+)
+from opmx.verify import _random_sparse
 
 import oracles
 
@@ -356,3 +369,61 @@ def test_admits_all_finitely_supported():
 def test_excluded_coordinates():
     assert excluded_coordinates(D_COLLECT_ADJ) == frozenset({0})
     assert excluded_coordinates(D_COLLECT) == frozenset()
+
+
+# --- finitely supported membership: one rule -----------------------------------
+
+WEIGHT_POOL = [
+    RationalWeight.constant(0),
+    RationalWeight.ratio([1], [1, 1]),             # 1 / (k + 1): l2
+    RationalWeight.ratio([0, 1], [2, 3, 1]),       # k / ((k + 1)(k + 2)): l2
+    RationalWeight.ratio([1], [1, 2, 1]),          # 1 / (k + 1)^2: l2
+    W_ONE,                                         # bounded, not l2
+    RationalWeight.ratio([2, 1], [1, 1]),          # (k + 2) / (k + 1): bounded
+    W_LIN, W_SHIFT, W_SQ,                          # unbounded
+    RationalWeight.poly(1, 0, 2),
+]
+weights = st.builds(lambda w, c: w.scale(c), st.sampled_from(WEIGHT_POOL),
+                    st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+coords = st.integers(0, 7)
+atoms = st.one_of(
+    st.builds(WeightedL2, weights),
+    st.builds(SeriesConverges, weights),
+    st.builds(CoordinateZero, coords),
+    st.builds(lambda diag, sources: ResidualL2(diag, tuple(sources.items())),
+              weights, st.dictionaries(coords, weights, max_size=3)),
+)
+descriptors = st.builds(DomainDescriptor, st.lists(atoms, max_size=5))
+sparse_families = st.builds(
+    lambda entries: FiniteSupport(SparseVector(tuple(entries))),
+    st.lists(st.tuples(st.integers(0, 9),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+             max_size=4))
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=descriptors, f=sparse_families)
+def test_finite_support_member_matches_the_per_atom_verdicts(d, f):
+    assert member(f, d) is conjunction(atom_verdict(f, a) for a in d.atoms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=descriptors)
+def test_forced_coordinates_are_excluded(d):
+    assert forced_coordinates(d) <= excluded_coordinates(d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=descriptors)
+def test_admits_all_finitely_supported_iff_nothing_is_excluded(d):
+    assert admits_all_finitely_supported(d) == (not excluded_coordinates(d))
+
+
+@settings(deadline=None, max_examples=100)
+@given(d=descriptors, seed=st.integers(0, 2**32 - 1))
+def test_draws_avoiding_the_excluded_set_are_members(d, seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        f = FiniteSupport(_random_sparse(rng, excluded_coordinates(d), max_index=9))
+        assert member(f, d) is Verdict.YES
+        assert conjunction(atom_verdict(f, a) for a in d.atoms) is Verdict.YES
